@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from glyphspect import cli
+from glyphspect import cli, svm
 from glyphspect.svm import load_model
 
 
@@ -183,6 +183,18 @@ class TestTrainEvaluatePredict:
                  "--model", str(path), "--gamma", "2", "--normalize-l2"]
             ) == 0
         assert m1.read_bytes() == m2.read_bytes()
+
+    def test_solver_iteration_bound_exits_3(self, tmp_path, capsys, monkeypatch):
+        out = synth_corpus(tmp_path, count=3)
+        monkeypatch.setattr(svm, "_ITERATIONS_PER_SAMPLE", 0)
+        code = run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"),
+             "--model", str(tmp_path / "m.json")]
+        )
+        assert code == 3
+        assert "error: train:" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_small_class_names_class(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=3)

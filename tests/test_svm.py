@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from glyphspect import svm
 from glyphspect.svm import (
+    ConvergenceError,
     DegenerateTrainingError,
     KernelParams,
     ModelFormatError,
@@ -151,6 +153,38 @@ class TestTrainSmo:
                     assert margin <= 1.0 + tol
                 else:
                     assert abs(margin - 1.0) <= tol
+
+    def test_non_separable_kkt_and_seed_independence(self):
+        rng = random.Random(60)
+        pts, labels = [], []
+        for i in range(40):
+            yy = 1 if i % 2 else -1
+            centre = 0.6 if yy > 0 else 0.4
+            pts.append((rng.gauss(centre, 0.2), rng.gauss(centre, 0.2)))
+            labels.append(yy)
+        data = TrainingSet(tuple(pts), tuple(labels))
+        params = KernelParams(gamma=2.0, c=1.0)
+        model = train_smo(data, params, 11, debug=True)
+        assert any(a == params.c for a in model.alpha)
+        balance = sum(a * yy for a, yy in zip(model.alpha, model.support_y))
+        assert abs(balance) <= 1e-6
+        alpha_of = {x: a for x, a in zip(model.support_x, model.alpha)}
+        tol = params.kkt_tol + 1e-6
+        for x, yy in zip(data.x, labels):
+            margin = yy * decision(model, x)
+            a = alpha_of.get(x, 0.0)
+            if a <= 1e-8:
+                assert margin >= 1.0 - tol
+            elif a >= params.c - 1e-8:
+                assert margin <= 1.0 + tol
+            else:
+                assert abs(margin - 1.0) <= tol
+        assert train_smo(data, params, 11) == train_smo(data, params, 12)
+
+    def test_iteration_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(svm, "_ITERATIONS_PER_SAMPLE", 0)
+        with pytest.raises(ConvergenceError, match="SMO steps"):
+            separable_pair_model()
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateTrainingError):
