@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .imaging import (
     BinaryImage,
     GrayImage,
@@ -265,7 +267,7 @@ def synth_generate(
             normalized = None
             for _ in range(_MAX_RETRIES):
                 candidate = _perturb(template, params, rng)
-                if not any(candidate.pixels):
+                if candidate.ink_count == 0:
                     continue
                 squared = resize_to_square(crop_to_bbox(candidate), n)
                 # a severe downscale can also drop every ink pixel
@@ -296,21 +298,15 @@ def _perturb(
     pad = params.max_shift
     dy = rng.randint(-pad, pad) if pad else 0
     dx = rng.randint(-pad, pad) if pad else 0
-    canvas_h = img.height + 2 * pad
-    canvas_w = img.width + 2 * pad
-    pixels = [0] * (canvas_h * canvas_w)
-    for r in range(img.height):
-        base = (r + pad + dy) * canvas_w + pad + dx
-        row = img.pixels[r * img.width : (r + 1) * img.width]
-        for c, p in enumerate(row):
-            if p:
-                pixels[base + c] = 1
+    canvas = np.zeros((img.height + 2 * pad, img.width + 2 * pad), dtype=bool)
+    top, left = pad + dy, pad + dx
+    canvas[top : top + img.height, left : left + img.width] = img.pixels
 
     if params.flips > 0.0:
-        for idx in range(len(pixels)):
-            if rng.random() < params.flips:
-                pixels[idx] ^= 1
-    return BinaryImage(canvas_w, canvas_h, tuple(pixels))
+        # one draw per pixel in row-major order; seeded corpora depend on it
+        draws = np.array([rng.random() for _ in range(canvas.size)])
+        canvas ^= (draws < params.flips).reshape(canvas.shape)
+    return BinaryImage(canvas.shape[1], canvas.shape[0], canvas)
 
 
 def write_corpus(samples: Sequence[GlyphSample], out_dir) -> Path:
@@ -353,35 +349,25 @@ def builtin_templates(size: int = 28) -> dict[str, BinaryImage]:
     r_out = 0.48 * size
     r_in = r_out - max(2.5, 0.16 * size)
 
-    ring = _blank(size)
-    gap = _blank(size)
-    for r in range(size):
-        for c in range(size):
-            d = math.hypot(r - center, c - center)
-            if r_in <= d <= r_out:
-                ring[r][c] = 1
-                in_gap = c > center + 0.15 * size and abs(r - center) <= 0.18 * size
-                gap[r][c] = 0 if in_gap else 1
+    rr, cc = np.indices((size, size))
+    dist = np.array(
+        [[math.hypot(r - center, c - center) for c in range(size)] for r in range(size)]
+    )
+    ring = (r_in <= dist) & (dist <= r_out)
+    in_gap = (cc > center + 0.15 * size) & (np.abs(rr - center) <= 0.18 * size)
+    gap = ring & ~in_gap
 
     bar = max(3, round(size * 0.14))
     margin = max(2, round(size * 0.1))
     top = max(1, round(size * 0.08))
     bottom = size - top
 
-    cup = _blank(size)
-    for r in range(top, bottom):
-        for c in range(margin, margin + bar):
-            cup[r][c] = 1
-        for c in range(size - margin - bar, size - margin):
-            cup[r][c] = 1
-    for r in range(bottom - bar, bottom):
-        for c in range(margin, size - margin):
-            cup[r][c] = 1
-
-    cup_bar = [row[:] for row in cup]
-    for r in range(top, top + bar):
-        for c in range(margin, size - margin):
-            cup_bar[r][c] = 1
+    cup = np.zeros((size, size), dtype=bool)
+    cup[top:bottom, margin : margin + bar] = True
+    cup[top:bottom, size - margin - bar : size - margin] = True
+    cup[bottom - bar : bottom, margin : size - margin] = True
+    cup_bar = cup.copy()
+    cup_bar[top : top + bar, margin : size - margin] = True
 
     out = {}
     for label, grid in (
@@ -390,8 +376,7 @@ def builtin_templates(size: int = 28) -> dict[str, BinaryImage]:
         ("cup", cup),
         ("cup-bar", cup_bar),
     ):
-        flat = tuple(p for row in grid for p in row)
-        out[label] = crop_to_bbox(BinaryImage(size, size, flat))
+        out[label] = crop_to_bbox(BinaryImage(size, size, grid))
     return out
 
 
@@ -399,6 +384,3 @@ def builtin_registry() -> PairRegistry:
     """The confusable pairs matching builtin_templates()."""
     return PairRegistry((("ring", "ring-gap"), ("cup", "cup-bar")))
 
-
-def _blank(size: int) -> list[list[int]]:
-    return [[0] * size for _ in range(size)]

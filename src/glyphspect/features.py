@@ -28,36 +28,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    """Row and column ink counts of an n-by-n binary image."""
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
-    h: tuple[int, ...]
-    v: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class ProjectionPair:
+    """Row and column ink counts of an n-by-n binary image (read-only arrays)."""
+
+    h: np.ndarray
+    v: np.ndarray
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "h", tuple(self.h))
-        object.__setattr__(self, "v", tuple(self.v))
-        if len(self.h) != self.n or len(self.v) != self.n:
+        object.__setattr__(self, "h", _frozen(self.h, np.int64))
+        object.__setattr__(self, "v", _frozen(self.v, np.int64))
+        if self.h.shape != (self.n,) or self.v.shape != (self.n,):
             raise ValueError("projection length does not match n")
         for signal in (self.h, self.v):
-            for value in signal:
-                if not 0 <= value <= self.n:
-                    raise ValueError(f"projection count {value} outside [0, {self.n}]")
-        if sum(self.h) != sum(self.v):
+            if signal.min() < 0 or signal.max() > self.n:
+                raise ValueError(f"projection count outside [0, {self.n}]")
+        if self.h.sum() != self.v.sum():
             raise ValueError("row and column projections must count the same ink")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Complex DFT coefficients of one projection signal."""
+    """Complex DFT coefficients of one projection signal (read-only array)."""
 
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if not self.coeffs:
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, np.complex128))
+        if self.coeffs.ndim != 1 or not len(self.coeffs):
             raise ValueError("spectrum must contain at least one coefficient")
 
     def __len__(self) -> int:
@@ -88,11 +93,7 @@ def project(img: BinaryImage) -> ProjectionPair:
         raise ValueError(
             f"projection requires a square image, got {img.width}x{img.height}"
         )
-    n = img.width
-    px = img.pixels
-    h = tuple(sum(px[r * n : (r + 1) * n]) for r in range(n))
-    v = tuple(sum(px[c::n]) for c in range(n))
-    return ProjectionPair(h, v, n)
+    return ProjectionPair(img.pixels.sum(axis=1), img.pixels.sum(axis=0), img.width)
 
 
 def dft(signal: Sequence[float]) -> Spectrum:
@@ -103,15 +104,16 @@ def dft(signal: Sequence[float]) -> Spectrum:
     """
     if len(signal) == 0:
         raise ValueError("empty signal")
-    coeffs = np.fft.fft(np.asarray(signal, dtype=np.float64))
-    return Spectrum(tuple(complex(c) for c in coeffs))
+    return Spectrum(np.fft.fft(np.asarray(signal, dtype=np.float64)))
 
 
 def truncate_spectrum(spec: Spectrum, m: int) -> tuple[float, ...]:
     """Keep the magnitudes of the lowest m coefficients."""
     if not 1 <= m <= len(spec):
         raise ValueError(f"m must satisfy 1 <= m <= {len(spec)}, got {m}")
-    return tuple(abs(c) for c in spec.coeffs[:m])
+    low = spec.coeffs[:m]
+    # hypot, as Python's abs(complex) computes it; np.abs can differ in the last bit
+    return tuple(np.hypot(low.real, low.imag).tolist())
 
 
 def extract_features(

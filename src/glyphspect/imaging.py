@@ -1,12 +1,17 @@
 """Glyph raster handling: PGM I/O, thresholding, cropping, square resizing.
 
-Images here are character-sized (a few thousand pixels), so everything is
-plain integer arithmetic on flat tuples. All operations are pure and the
-image types are immutable, which keeps the whole pipeline deterministic.
+Each image holds one read-only 2-D numpy array (uint8 intensities for
+grayscale, bool for a mask), so every operation is a whole-array step and
+no code loops over pixels in Python. Otsu's threshold is still chosen in
+exact integer arithmetic. All operations are pure and the image types are
+immutable, which keeps the whole pipeline deterministic.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "GrayImage",
@@ -32,68 +37,89 @@ class EmptyGlyphError(ValueError):
     """Raised when an operation needs ink but the image has none."""
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """Row-major 8-bit grayscale raster (top row first)."""
+@dataclass(frozen=True, eq=False)
+class _Raster:
+    """A width-by-height raster; `pixels` is a read-only (height, width) array.
+
+    `pixels` may be given flat (row-major, top row first) or as a
+    (height, width) array of integers; the image keeps its own copy.
+    Images compare equal when their type, shape and pixels are equal.
+    """
 
     width: int
     height: int
-    pixels: tuple[int, ...]
+    pixels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", tuple(self.pixels))
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
-        if len(self.pixels) != self.width * self.height:
+        arr = np.asarray(self.pixels)
+        if arr.shape not in ((self.width * self.height,), (self.height, self.width)):
             raise ValueError(
-                f"pixel count {len(self.pixels)} does not match "
-                f"{self.width}x{self.height}"
+                f"pixel count {arr.size} does not match {self.width}x{self.height}"
             )
-        for p in self.pixels:
-            if not 0 <= p <= 255:
-                raise ValueError(f"intensity {p} outside [0, 255]")
+        if arr.dtype.kind not in "biu":
+            raise ValueError(f"pixels must be integers, got {arr.dtype}")
+        arr = self._convert(arr).reshape(self.height, self.width)
+        arr.setflags(write=False)
+        object.__setattr__(self, "pixels", arr)
+
+    @staticmethod
+    def _convert(arr: np.ndarray) -> np.ndarray:
+        """Check the value range and return a new array of the image's dtype."""
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.pixels, other.pixels)
+
+    def __hash__(self):
+        return hash((self.width, self.height, self.pixels.tobytes()))
 
     def at(self, row: int, col: int) -> int:
-        return self.pixels[row * self.width + col]
+        return int(self.pixels[row, col])
 
 
-@dataclass(frozen=True)
-class BinaryImage:
-    """Row-major binary raster: 1 = ink, 0 = background."""
+class GrayImage(_Raster):
+    """8-bit grayscale raster (top row first)."""
 
-    width: int
-    height: int
-    pixels: tuple[int, ...]
+    @staticmethod
+    def _convert(arr):
+        if arr.dtype != np.uint8:
+            worst = arr.min() if arr.min() < 0 else arr.max()
+            if not 0 <= worst <= 255:
+                raise ValueError(f"intensity {worst} outside [0, 255]")
+        return arr.astype(np.uint8)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", tuple(self.pixels))
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError(
-                f"pixel count {len(self.pixels)} does not match "
-                f"{self.width}x{self.height}"
-            )
-        for p in self.pixels:
-            if p not in (0, 1):
-                raise ValueError(f"binary pixel {p} not in {{0, 1}}")
 
-    def at(self, row: int, col: int) -> int:
-        return self.pixels[row * self.width + col]
+class BinaryImage(_Raster):
+    """Binary raster: True (1) = ink, False (0) = background."""
+
+    @staticmethod
+    def _convert(arr):
+        if arr.dtype != bool:
+            bad = arr[(arr != 0) & (arr != 1)]
+            if bad.size:
+                raise ValueError(f"binary pixel {bad[0]} not in {{0, 1}}")
+        return arr.astype(bool)
 
     @property
     def ink_count(self) -> int:
-        return sum(self.pixels)
+        return int(np.count_nonzero(self.pixels))
 
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_SAMPLE_BYTES = b"0123456789" + _WHITESPACE  # all a P2 raster may hold
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 def load_pgm(data: bytes) -> GrayImage:
     """Parse a PGM file (binary P5 or ASCII P2, maxval <= 255).
 
-    Header comments starting with '#' are allowed. Raises PgmParseError
-    naming the offending field on any malformed input.
+    Header comments starting with '#' are allowed. Every number must be
+    plain ASCII digits (no sign, no '_'). Raises PgmParseError naming the
+    offending field on any malformed input.
     """
     data = bytes(data)
 
@@ -119,11 +145,12 @@ def load_pgm(data: bytes) -> GrayImage:
 
     def int_token(pos: int, field: str) -> tuple[int, int]:
         tok, pos = next_token(pos, field)
+        if not tok.isdigit():  # bytes.isdigit accepts ASCII digits only
+            raise PgmParseError(f"invalid {field} {tok!r}")
         try:
-            value = int(tok)
-        except ValueError:
-            raise PgmParseError(f"invalid {field} {tok!r}") from None
-        return value, pos
+            return int(tok), pos
+        except ValueError:  # past the interpreter's int-conversion digit limit
+            raise PgmParseError(f"{field} has too many digits") from None
 
     magic, pos = next_token(0, "magic number")
     if magic not in (b"P2", b"P5"):
@@ -144,19 +171,16 @@ def load_pgm(data: bytes) -> GrayImage:
     if magic == b"P5":
         if pos >= len(data) or data[pos] not in _WHITESPACE:
             raise PgmParseError("maxval must be followed by a single whitespace byte")
-        raster = data[pos + 1 : pos + 1 + count]
-        if len(raster) < count:
+        found = min(count, len(data) - pos - 1)
+        if found < count:
             raise PgmParseError(
-                f"truncated pixel data: expected {count} bytes, found {len(raster)}"
+                f"truncated pixel data: expected {count} bytes, found {found}"
             )
-        values = list(raster)
+        values = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1)
     else:
         # Plain format: strip comments, then whitespace-separated decimals.
-        text_lines = []
-        for line in data[pos:].split(b"\n"):
-            hash_at = line.find(b"#")
-            text_lines.append(line if hash_at < 0 else line[:hash_at])
-        tokens = b"\n".join(text_lines).split()
+        text = _COMMENT.sub(b"", data[pos:])
+        tokens = text.split()
         if len(tokens) < count:
             raise PgmParseError(
                 f"truncated pixel data: expected {count} values, found {len(tokens)}"
@@ -165,37 +189,31 @@ def load_pgm(data: bytes) -> GrayImage:
             raise PgmParseError(
                 f"excess pixel data: expected {count} values, found {len(tokens)}"
             )
-        values = []
-        for tok in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise PgmParseError(f"invalid pixel value {tok!r}") from None
-        if any(v < 0 for v in values):
-            raise PgmParseError("negative pixel value")
+        if text.translate(None, _SAMPLE_BYTES):
+            bad = next(tok for tok in tokens if not tok.isdigit())
+            raise PgmParseError(f"invalid pixel value {bad!r}")
+        try:
+            values = np.array(tokens, dtype=np.int64)
+        except (OverflowError, ValueError):  # past int64, or too many digits
+            raise PgmParseError(f"pixel value exceeds maxval {maxval}") from None
 
-    worst = max(values)
+    worst = int(values.max())
     if worst > maxval:
         raise PgmParseError(f"pixel value {worst} exceeds maxval {maxval}")
-    return GrayImage(width, height, tuple(values))
+    return GrayImage(width, height, values)
 
 
 def write_pgm(img: GrayImage) -> bytes:
     """Serialize as ASCII P2 with a maxval of 255, one raster row per line."""
     lines = [b"P2", f"{img.width} {img.height}".encode(), b"255"]
-    for r in range(img.height):
-        row = img.pixels[r * img.width : (r + 1) * img.width]
-        lines.append(" ".join(str(p) for p in row).encode())
+    for row in img.pixels.tolist():
+        lines.append(" ".join(map(str, row)).encode())
     return b"\n".join(lines) + b"\n"
 
 
 def binary_to_gray(img: BinaryImage, ink: int = 0, background: int = 255) -> GrayImage:
     """Render a binary mask as grayscale (dark ink on light ground by default)."""
-    return GrayImage(
-        img.width,
-        img.height,
-        tuple(ink if p else background for p in img.pixels),
-    )
+    return GrayImage(img.width, img.height, np.where(img.pixels, ink, background))
 
 
 def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
@@ -207,32 +225,32 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
     distinguishable glyph content: it maps to an all-background mask with
     threshold 0.
     """
-    if min(img.pixels) == max(img.pixels):
-        return BinaryImage(img.width, img.height, (0,) * len(img.pixels)), 0
-
-    hist = [0] * 256
-    for p in img.pixels:
-        hist[p] += 1
-    total = len(img.pixels)
-    total_sum = sum(i * hist[i] for i in range(256))
+    hist = np.bincount(img.pixels.ravel(), minlength=256)
+    levels = np.flatnonzero(hist)
+    if len(levels) == 1:
+        return BinaryImage(img.width, img.height, np.zeros_like(img.pixels, bool)), 0
+    counts = hist[levels]
+    total = img.pixels.size
+    total_sum = int(levels @ counts)
 
     # Between-class variance at t is proportional to
-    # (s0*n1 - s1*n0)^2 / (n0*n1); compare fractions by cross-multiplying.
-    best_t = 0
-    best_num = -1
-    best_den = 1
+    # (s0*n1 - s1*n0)^2 / (n0*n1); compare fractions by cross-multiplying,
+    # in Python ints because the squared term overflows int64 on images
+    # past ~83x83. Between two occupied levels n0 and s0 do not change, so
+    # scanning only occupied levels with a strict comparison keeps the
+    # smallest maximizing threshold. Every t below the lowest level scores
+    # 0, which seeds the running best at t = 0.
+    best_t, best_num, best_den = 0, 0, 1
     n0 = 0
     s0 = 0
-    for t in range(256):
-        n0 += hist[t]
-        s0 += t * hist[t]
+    for t, k in zip(levels.tolist(), counts.tolist()):
+        n0 += k
+        s0 += t * k
         n1 = total - n0
-        s1 = total_sum - s0
-        if n0 == 0 or n1 == 0:
-            num, den = 0, 1
-        else:
-            num = (s0 * n1 - s1 * n0) ** 2
-            den = n0 * n1
+        if n1 == 0:
+            break
+        num = (s0 * n1 - (total_sum - s0) * n0) ** 2
+        den = n0 * n1
         if num * best_den > best_num * den:
             best_t, best_num, best_den = t, num, den
 
@@ -243,38 +261,26 @@ def binarize_fixed(img: GrayImage, t: int) -> BinaryImage:
     """Mark every pixel with intensity <= t as ink."""
     if not 0 <= t <= 255:
         raise ValueError(f"threshold {t} outside [0, 255]")
-    return BinaryImage(
-        img.width, img.height, tuple(1 if p <= t else 0 for p in img.pixels)
-    )
+    return BinaryImage(img.width, img.height, img.pixels <= t)
 
 
 def crop_to_bbox(img: BinaryImage) -> BinaryImage:
     """Crop to the minimal axis-aligned rectangle containing all ink."""
-    px = img.pixels
-    w = img.width
-    rows = [r for r in range(img.height) if any(px[r * w : (r + 1) * w])]
-    if not rows:
+    rows = np.flatnonzero(img.pixels.any(axis=1))
+    if len(rows) == 0:
         raise EmptyGlyphError("empty glyph")
-    cols = [c for c in range(w) if any(px[c::w])]
-    r0, r1 = rows[0], rows[-1]
-    c0, c1 = cols[0], cols[-1]
-    out = tuple(
-        px[r * w + c] for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)
-    )
-    return BinaryImage(c1 - c0 + 1, r1 - r0 + 1, out)
+    cols = np.flatnonzero(img.pixels.any(axis=0))
+    out = img.pixels[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    return BinaryImage(out.shape[1], out.shape[0], out)
 
 
 def resize_nearest(img: BinaryImage, height: int, width: int) -> BinaryImage:
     """Nearest-neighbor resample: out(r, c) = in(floor(r*H/height), floor(c*W/width))."""
     if height < 1 or width < 1:
         raise ValueError("target size must be a positive integer")
-    src = img.pixels
-    out = tuple(
-        src[(r * img.height // height) * img.width + (c * img.width // width)]
-        for r in range(height)
-        for c in range(width)
-    )
-    return BinaryImage(width, height, out)
+    rows = np.arange(height) * img.height // height
+    cols = np.arange(width) * img.width // width
+    return BinaryImage(width, height, img.pixels[rows[:, None], cols])
 
 
 def resize_to_square(img: BinaryImage, n: int) -> BinaryImage:

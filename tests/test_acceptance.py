@@ -75,10 +75,11 @@ def test_criterion_2_projection_conservation():
 
 def exhaustive_otsu_scan(img: GrayImage) -> int:
     best_t, best_var = 0, Fraction(-1)
-    total = len(img.pixels)
+    pixels = img.pixels.ravel().tolist()
+    total = len(pixels)
     for t in range(256):
-        low = [p for p in img.pixels if p <= t]
-        high = [p for p in img.pixels if p > t]
+        low = [p for p in pixels if p <= t]
+        high = [p for p in pixels if p > t]
         if not low or not high:
             var = Fraction(0)
         else:

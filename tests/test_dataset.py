@@ -186,7 +186,10 @@ class TestSynthGenerate:
         params = SynthParams(flips=0.02, max_shift=0, count=500, seed=13)
         samples = synth_generate({"frame": template}, params, n)
         diffs = [
-            sum(a != b for a, b in zip(s.image.pixels, template.pixels))
+            sum(
+                a != b
+                for a, b in zip(s.image.pixels.ravel().tolist(), template.pixels.ravel().tolist())
+            )
             for s in samples
         ]
         mean = sum(diffs) / len(diffs)

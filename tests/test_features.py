@@ -32,20 +32,20 @@ def spectra_close(a, b, tol=1e-9):
 class TestProject:
     def test_all_ink(self):
         pair = project(BinaryImage(3, 3, (1,) * 9))
-        assert pair.h == (3, 3, 3)
-        assert pair.v == (3, 3, 3)
+        assert pair.h.tolist() == [3, 3, 3]
+        assert pair.v.tolist() == [3, 3, 3]
 
     def test_hand_counted_mask(self):
         rows = [(1, 1, 0), (0, 1, 0), (0, 1, 1)]
         img = BinaryImage(3, 3, tuple(p for row in rows for p in row))
         pair = project(img)
-        assert pair.h == (2, 1, 2)
-        assert pair.v == (1, 3, 1)
+        assert pair.h.tolist() == [2, 1, 2]
+        assert pair.v.tolist() == [1, 3, 1]
 
     def test_all_background(self):
         pair = project(BinaryImage(4, 4, (0,) * 16))
-        assert pair.h == (0, 0, 0, 0)
-        assert pair.v == (0, 0, 0, 0)
+        assert pair.h.tolist() == [0, 0, 0, 0]
+        assert pair.v.tolist() == [0, 0, 0, 0]
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -58,6 +58,13 @@ class TestProject:
             px = tuple(int(rng.random() < 0.4) for _ in range(n * n))
             pair = project(BinaryImage(n, n, px))
             assert sum(pair.h) == sum(pair.v) == sum(px)
+
+    def test_projection_and_spectrum_arrays_are_read_only(self):
+        pair = project(BinaryImage(2, 2, (1, 0, 1, 1)))
+        spec = dft(pair.h)
+        for arr in (pair.h, pair.v, spec.coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 class TestProjectionPairInvariants:

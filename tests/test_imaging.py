@@ -1,8 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from glyphspect.features import extract_features
 from glyphspect.imaging import (
     BinaryImage,
     EmptyGlyphError,
@@ -25,10 +29,11 @@ def otsu_scan_oracle(img: GrayImage) -> int:
     maximum wins (smallest threshold on ties).
     """
     best_t, best_var = 0, Fraction(-1)
-    total = len(img.pixels)
+    pixels = img.pixels.ravel().tolist()
+    total = len(pixels)
     for t in range(256):
-        low = [p for p in img.pixels if p <= t]
-        high = [p for p in img.pixels if p > t]
+        low = [p for p in pixels if p <= t]
+        high = [p for p in pixels if p > t]
         if not low or not high:
             var = Fraction(0)
         else:
@@ -39,6 +44,30 @@ def otsu_scan_oracle(img: GrayImage) -> int:
                 * Fraction(len(high), total)
                 * (mean_low - mean_high) ** 2
             )
+        if var > best_var:
+            best_t, best_var = t, var
+    return best_t
+
+
+def otsu_histogram_oracle(pixels) -> int:
+    """Exact Otsu argmax over all 256 thresholds from the histogram, in Fractions.
+
+    First maximum wins (smallest threshold on ties); a uniform image gives 0.
+    """
+    hist = [0] * 256
+    for p in pixels:
+        hist[p] += 1
+    total = len(pixels)
+    best_t, best_var = 0, Fraction(-1)
+    for t in range(256):
+        n0 = sum(hist[: t + 1])
+        n1 = total - n0
+        if n0 == 0 or n1 == 0:
+            var = Fraction(0)
+        else:
+            mean0 = Fraction(sum(i * hist[i] for i in range(t + 1)), n0)
+            mean1 = Fraction(sum(i * hist[i] for i in range(t + 1, 256)), n1)
+            var = Fraction(n0 * n1, total * total) * (mean0 - mean1) ** 2
         if var > best_var:
             best_t, best_var = t, var
     return best_t
@@ -71,23 +100,59 @@ class TestBinaryImage:
         assert BinaryImage(2, 2, (1, 0, 1, 1)).ink_count == 3
 
 
+class TestImageValueSemantics:
+    def test_equal_by_shape_and_pixels(self):
+        flat = GrayImage(2, 2, (1, 2, 3, 4))
+        assert flat == GrayImage(2, 2, np.array([[1, 2], [3, 4]], dtype=np.uint8))
+        assert hash(flat) == hash(GrayImage(2, 2, [1, 2, 3, 4]))
+        assert flat != GrayImage(2, 2, (1, 2, 3, 5))
+        assert flat != GrayImage(4, 1, (1, 2, 3, 4))
+        assert BinaryImage(2, 1, (1, 0)) == BinaryImage(2, 1, (True, False))
+        assert BinaryImage(2, 1, (1, 0)) != GrayImage(2, 1, (1, 0))
+
+    def test_pixels_are_a_read_only_2d_array(self):
+        gray = GrayImage(3, 2, (1, 2, 3, 4, 5, 6))
+        mask = BinaryImage(3, 2, (1, 0, 1, 0, 1, 0))
+        assert (gray.pixels.shape, gray.pixels.dtype) == ((2, 3), np.uint8)
+        assert (mask.pixels.shape, mask.pixels.dtype) == ((2, 3), np.bool_)
+        for img in (gray, mask):
+            with pytest.raises(ValueError, match="read-only"):
+                img.pixels[0, 0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                img.pixels = np.zeros((2, 3), dtype=img.pixels.dtype)
+
+    def test_keeps_its_own_copy(self):
+        source = np.array([[7, 8]], dtype=np.uint8)
+        img = GrayImage(2, 1, source)
+        source[0, 0] = 9
+        assert img.pixels.tolist() == [[7, 8]]
+
+    def test_rejects_transposed_and_non_integer_pixels(self):
+        with pytest.raises(ValueError):
+            GrayImage(3, 2, np.zeros((3, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="integers"):
+            GrayImage(1, 1, (0.5,))
+        with pytest.raises(ValueError):
+            BinaryImage(1, 1, (-1,))
+
+
 class TestLoadPgm:
     def test_ascii_payload(self):
         img = load_pgm(b"P2 2 2 255\n0 255 128 64\n")
         assert (img.width, img.height) == (2, 2)
-        assert img.pixels == (0, 255, 128, 64)
+        assert img.pixels.tolist() == [[0, 255], [128, 64]]
 
     def test_minimal_binary(self):
         img = load_pgm(b"P5 1 1 255\n" + bytes([0]))
-        assert img.pixels == (0,)
+        assert img.pixels.tolist() == [[0]]
 
     def test_binary_raster(self):
         img = load_pgm(b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
-        assert img.pixels == (1, 2, 3, 4, 5, 6)
+        assert img.pixels.tolist() == [[1, 2, 3], [4, 5, 6]]
 
     def test_header_comments(self):
         data = b"P2 # format\n# a comment line\n2 1 # dims\n255\n5 6\n"
-        assert load_pgm(data).pixels == (5, 6)
+        assert load_pgm(data).pixels.tolist() == [[5, 6]]
 
     def test_truncated_ascii(self):
         with pytest.raises(PgmParseError, match="truncated pixel data"):
@@ -130,18 +195,84 @@ class TestLoadPgm:
         img = GrayImage(7, 3, tuple(rng.randrange(256) for _ in range(21)))
         assert load_pgm(write_pgm(img)) == img
 
+    @pytest.mark.parametrize("token", [b"1_0", b"+5", b"-0", b"\xd9\xa3"])
+    @pytest.mark.parametrize(
+        "template, field",
+        [
+            (b"P2 {} 1 255\n0\n", "width"),
+            (b"P5 1 {} 255\n\x00", "height"),
+            (b"P2 1 1 {}\n0\n", "maxval"),
+            (b"P2 2 1 255\n0 {}\n", "pixel value"),
+        ],
+    )
+    def test_rejects_numbers_that_are_not_plain_digits(self, template, field, token):
+        with pytest.raises(PgmParseError, match=field):
+            load_pgm(template.replace(b"{}", token))
+
+    def test_leading_zeros_and_long_samples(self):
+        img = load_pgm(b"P2 01 1 0255\n00000000000000000000007\n")
+        assert img.pixels.tolist() == [[7]]
+        with pytest.raises(PgmParseError, match="exceeds maxval"):
+            load_pgm(b"P2 1 1 255\n" + b"9" * 20 + b"\n")
+        with pytest.raises(PgmParseError, match="exceeds maxval"):
+            load_pgm(b"P2 1 1 255\n" + b"9" * 5000 + b"\n")
+        with pytest.raises(PgmParseError, match="width"):
+            load_pgm(b"P2 " + b"9" * 5000 + b" 1 255\n0\n")
+
+    def test_p5_and_p2_encodings_decode_alike(self):
+        rng = random.Random(17)
+        w, h = 29, 23
+        px = [rng.choice((0, 0, 0, 40, 200, 255)) for _ in range(w * h)]
+        p2 = load_pgm(b"P2\n%d %d\n255\n" % (w, h) + " ".join(map(str, px)).encode())
+        p5 = load_pgm(b"P5\n%d %d\n255\n" % (w, h) + bytes(px))
+        assert p2 == p5
+        assert p5.pixels.ravel().tolist() == px
+        vectors = []
+        for img in (p2, p5):
+            mask, _ = binarize_otsu(img)
+            squared = resize_to_square(crop_to_bbox(mask), 16)
+            vectors.append(extract_features(squared, 8, normalize=True).values)
+        assert vectors[0] == vectors[1]
+
+
+_PGM_PREFIXES = [
+    b"", b"P2", b"P5", b"P2 ", b"P5\n", b"P2 2 1 ", b"P5 3 2 ",
+    b"P2 1 1 255\n", b"P2 2 1 9 ", b"P5 1 1 255\n", b"P5 2 2 255 ",
+]
+_PGM_TOKENS = st.sampled_from([
+    b"0", b"1", b"7", b"255", b"256", b"-0", b"+5", b"1_0", b"99999999999999999999",
+    b"#", b"# c\n", b"\r", b"\x00", b"\xff", b"P5", b"1e3",
+])
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    prefix=st.sampled_from(_PGM_PREFIXES),
+    body=st.one_of(
+        st.binary(max_size=64), st.lists(_PGM_TOKENS, max_size=6).map(b" ".join)
+    ),
+)
+@example(prefix=b"P2 1 1 255\n", body=b"99999999999999999999")
+@example(prefix=b"P2 1 1 255\n", body=b"1" * 5000)
+def test_load_pgm_raises_only_its_named_error(prefix, body):
+    try:
+        img = load_pgm(prefix + body)
+    except PgmParseError:
+        return
+    assert img.pixels.shape == (img.height, img.width)
+
 
 class TestBinarizeOtsu:
     def test_bimodal(self):
         img = GrayImage(2, 2, (0, 0, 255, 255))
         mask, t = binarize_otsu(img)
-        assert mask.pixels == (1, 1, 0, 0)
+        assert mask.pixels.tolist() == [[1, 1], [0, 0]]
         assert t == otsu_scan_oracle(img)
 
     def test_uniform_is_all_background(self):
         mask, t = binarize_otsu(GrayImage(2, 2, (128,) * 4))
         assert t == 0
-        assert mask.pixels == (0, 0, 0, 0)
+        assert mask.pixels.tolist() == [[0, 0], [0, 0]]
 
     def test_ramp_matches_scan(self):
         img = GrayImage(4, 4, tuple(i * 17 for i in range(16)))
@@ -161,19 +292,33 @@ class TestBinarizeOtsu:
             assert t == otsu_scan_oracle(img)
             assert mask == binarize_fixed(img, t)
 
+    @pytest.mark.parametrize(
+        "levels",
+        [tuple(range(256)), (0, 255), (30, 31), (0, 128, 255), (10, 90, 250)],
+    )
+    def test_stream_size_matches_histogram_fraction_oracle(self, levels):
+        # 96x96 is past the size where (s0*n1 - s1*n0)^2 overflows int64
+        rng = random.Random(len(levels) * 1000 + levels[-1])
+        px = [levels[i % len(levels)] for i in range(96 * 96)]
+        rng.shuffle(px)
+        img = GrayImage(96, 96, px)
+        mask, t = binarize_otsu(img)
+        assert t == otsu_histogram_oracle(px)
+        assert mask == binarize_fixed(img, t)
+
 
 class TestBinarizeFixed:
     def test_saturating_threshold(self):
         img = GrayImage(2, 1, (0, 255))
-        assert binarize_fixed(img, 255).pixels == (1, 1)
+        assert binarize_fixed(img, 255).pixels.tolist() == [[1, 1]]
 
     def test_zero_threshold(self):
         img = GrayImage(3, 1, (0, 1, 255))
-        assert binarize_fixed(img, 0).pixels == (1, 0, 0)
+        assert binarize_fixed(img, 0).pixels.tolist() == [[1, 0, 0]]
 
     def test_midpoint(self):
         img = GrayImage(2, 2, (0, 255, 128, 64))
-        assert binarize_fixed(img, 127).pixels == (1, 0, 0, 1)
+        assert binarize_fixed(img, 127).pixels.tolist() == [[1, 0], [0, 1]]
 
     def test_monotone_in_threshold(self):
         rng = random.Random(3)
@@ -181,8 +326,8 @@ class TestBinarizeFixed:
         for _ in range(20):
             t1 = rng.randrange(256)
             t2 = rng.randrange(t1, 256)
-            ink1 = binarize_fixed(img, t1).pixels
-            ink2 = binarize_fixed(img, t2).pixels
+            ink1 = binarize_fixed(img, t1).pixels.ravel().tolist()
+            ink2 = binarize_fixed(img, t2).pixels.ravel().tolist()
             assert all(a <= b for a, b in zip(ink1, ink2))
 
     def test_ink_total_equals_direct_count(self):
@@ -199,7 +344,7 @@ class TestCropToBbox:
         px = [0] * 25
         px[2 * 5 + 3] = 1
         out = crop_to_bbox(BinaryImage(5, 5, tuple(px)))
-        assert (out.width, out.height, out.pixels) == (1, 1, (1,))
+        assert (out.width, out.height, out.pixels.tolist()) == (1, 1, [[1]])
 
     def test_already_tight_is_identity(self):
         img = BinaryImage(3, 2, (1, 0, 1, 1, 0, 1))
@@ -216,7 +361,7 @@ class TestCropToBbox:
         img = BinaryImage(4, 4, tuple(p for row in grid for p in row))
         out = crop_to_bbox(img)
         assert (out.width, out.height) == (3, 2)
-        assert out.pixels == (1, 1, 0, 0, 1, 1)
+        assert out.pixels.tolist() == [[1, 1, 0], [0, 1, 1]]
 
     def test_empty_glyph(self):
         with pytest.raises(EmptyGlyphError, match="empty glyph"):
@@ -239,11 +384,16 @@ class TestResizeToSquare:
 
     def test_single_pixel_upscale(self):
         out = resize_to_square(BinaryImage(1, 1, (1,)), 4)
-        assert out.pixels == (1,) * 16
+        assert out.pixels.tolist() == [[1] * 4] * 4
 
     def test_checker_upscale(self):
         out = resize_to_square(BinaryImage(2, 2, (1, 0, 0, 1)), 4)
-        assert out.pixels == (1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1)
+        assert out.pixels.tolist() == [
+            [1, 1, 0, 0],
+            [1, 1, 0, 0],
+            [0, 0, 1, 1],
+            [0, 0, 1, 1],
+        ]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -267,6 +417,6 @@ class TestResizeToSquare:
 def test_binary_to_gray_round_trip():
     img = BinaryImage(2, 2, (1, 0, 0, 1))
     gray = binary_to_gray(img)
-    assert gray.pixels == (0, 255, 255, 0)
+    assert gray.pixels.tolist() == [[0, 255], [255, 0]]
     mask, t = binarize_otsu(gray)
     assert mask == img
