@@ -7,9 +7,9 @@ failing subcommand to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataset, evaluation, features, imaging, svm
@@ -43,28 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved pipeline settings; m defaults to n/2 and gamma to 1/(2m)."""
-
-    n: int = 32
-    m: int = 16
-    gamma: float = 1.0 / 32.0
-    c: float = 10.0
-    seed: int = 42
-    normalize: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise UsageError("n must be positive")
-        if not 1 <= self.m <= self.n:
-            raise UsageError(f"m must satisfy 1 <= m <= n, got m={self.m} n={self.n}")
-        if self.gamma <= 0.0:
-            raise UsageError("gamma must be positive")
-        if self.c <= 0.0:
-            raise UsageError("c must be positive")
-
-
 def _load_config_file(args) -> None:
     """Fill unset flags from a JSON config file; explicit flags win."""
     if getattr(args, "config", None) is None:
@@ -92,20 +70,27 @@ def _require(args, name: str) -> str:
     return str(value)
 
 
-def _resolve(args) -> RunConfig:
-    n = int(args.n) if getattr(args, "n", None) is not None else 32
-    if getattr(args, "m", None) is not None:
-        m = int(args.m)
-    else:
-        m = max(1, n // 2)
-    if getattr(args, "gamma", None) is not None:
-        gamma = float(args.gamma)
-    else:
-        gamma = svm.default_gamma(2 * m)
-    c = float(args.c) if getattr(args, "c", None) is not None else 10.0
-    seed = int(args.seed) if getattr(args, "seed", None) is not None else 42
-    normalize = bool(getattr(args, "normalize_l2", None))
-    return RunConfig(n=n, m=m, gamma=gamma, c=c, seed=seed, normalize=normalize)
+def _resolve(args) -> tuple[svm.ModelMeta, svm.KernelParams]:
+    """Pipeline settings from flags and config file; n defaults to 32, m to
+    n/2, gamma to 1/(2m), c to 10 and seed to 42. A value the model types
+    reject is a usage error."""
+    try:
+        n = int(args.n) if getattr(args, "n", None) is not None else 32
+        if getattr(args, "m", None) is not None:
+            m = int(args.m)
+        else:
+            m = max(1, n // 2)
+        seed = int(args.seed) if getattr(args, "seed", None) is not None else 42
+        normalize = bool(getattr(args, "normalize_l2", None))
+        meta = svm.ModelMeta(n=n, m=m, seed=seed, normalize=normalize)
+        if getattr(args, "gamma", None) is not None:
+            gamma = float(args.gamma)
+        else:
+            gamma = svm.default_gamma(2 * m)
+        c = float(args.c) if getattr(args, "c", None) is not None else 10.0
+        return meta, svm.KernelParams(gamma=gamma, c=c)
+    except (TypeError, ValueError) as exc:  # TypeError: e.g. a list in the config
+        raise UsageError(str(exc)) from None
 
 
 def _glyph_vector(
@@ -137,7 +122,7 @@ def _require_pair_counts(samples, registry) -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg = _resolve(args)
+    meta, _ = _resolve(args)
     out_dir = Path(args.out)
     if args.templates is not None:
         tpl_dir = Path(args.templates)
@@ -161,9 +146,9 @@ def cmd_synth(args) -> int:
         max_shift=args.max_shift,
         scale_jitter=args.scale_jitter,
         count=args.count,
-        seed=cfg.seed,
+        seed=meta.seed,
     )
-    samples = dataset.synth_generate(templates, params, cfg.n)
+    samples = dataset.synth_generate(templates, params, meta.n)
     manifest = dataset.write_corpus(samples, out_dir)
     if registry is not None:
         dataset.write_registry(registry, out_dir / "registry.csv")
@@ -173,11 +158,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    cfg = _resolve(args)
+    meta, _ = _resolve(args)
     samples = dataset.load_manifest(_require(args, "manifest"))
     lines = []
     for sample in samples:
-        vec = _glyph_vector(sample.image, cfg.n, cfg.m, cfg.normalize)
+        vec = _glyph_vector(sample.image, meta.n, meta.m, meta.normalize)
         lines.append(
             sample.label + "," + ",".join(format(v, ".17g") for v in vec)
         )
@@ -189,27 +174,29 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep(spec: str) -> tuple[str, list[float]]:
+def _parse_sweep(
+    spec: str, params: svm.KernelParams
+) -> tuple[str, list[svm.KernelParams]]:
+    """The swept name and one candidate per listed value."""
     name, eq, rest = spec.partition("=")
     if eq != "=" or name not in ("gamma", "c") or not rest:
         raise UsageError("--sweep expects gamma=v1,v2,... or c=v1,v2,...")
     try:
-        values = [float(v) for v in rest.split(",")]
-    except ValueError:
-        raise UsageError(f"--sweep: non-numeric value in '{rest}'") from None
-    if any(v <= 0.0 for v in values):
-        raise UsageError("--sweep values must be positive")
-    return name, values
+        return name, [
+            dataclasses.replace(params, **{name: float(v)}) for v in rest.split(",")
+        ]
+    except ValueError as exc:
+        raise UsageError(f"--sweep: {exc}") from None
 
 
-def _train_once(train_samples, registry, cfg: RunConfig):
+def _train_once(
+    train_samples, registry, meta: svm.ModelMeta, params: svm.KernelParams
+):
     vectors, labels = _featurize_samples(
-        train_samples, cfg.n, cfg.m, cfg.normalize
+        train_samples, meta.n, meta.m, meta.normalize
     )
-    params = svm.KernelParams(gamma=cfg.gamma, c=cfg.c)
-    meta = svm.ModelMeta(n=cfg.n, m=cfg.m, seed=cfg.seed, normalize=cfg.normalize)
     pm = svm.train_pairwise(
-        vectors, labels, params, cfg.seed, pairs=registry.pairs, meta=meta
+        vectors, labels, params, meta.seed, pairs=registry.pairs, meta=meta
     )
     accuracies = []
     for mdl in pm.models:
@@ -226,27 +213,20 @@ def _train_once(train_samples, registry, cfg: RunConfig):
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args)
+    meta, params = _resolve(args)
     model_path = _require(args, "model")
     samples = dataset.load_manifest(_require(args, "manifest"))
     registry = dataset.load_registry(_require(args, "registry"))
     keep = [s for s in samples if s.label in set(registry.classes)]
     _require_pair_counts(keep, registry)
-    train_samples, _ = dataset.split_even(keep, cfg.seed)
+    train_samples, _ = dataset.split_even(keep, meta.seed)
 
     if args.sweep:
-        name, values = _parse_sweep(args.sweep)
+        name, candidates = _parse_sweep(args.sweep, params)
         best = None
-        for value in values:
-            candidate = RunConfig(
-                n=cfg.n,
-                m=cfg.m,
-                gamma=value if name == "gamma" else cfg.gamma,
-                c=value if name == "c" else cfg.c,
-                seed=cfg.seed,
-                normalize=cfg.normalize,
-            )
-            pm, accs = _train_once(train_samples, registry, candidate)
+        for candidate in candidates:
+            value = getattr(candidate, name)
+            pm, accs = _train_once(train_samples, registry, meta, candidate)
             mean = sum(accs) / len(accs)
             print(
                 f"sweep {name}={value:g}: mean train accuracy "
@@ -257,7 +237,7 @@ def cmd_train(args) -> int:
         _, chosen, pm = best
         print(f"selected {name}={chosen:g}")
     else:
-        pm, accs = _train_once(train_samples, registry, cfg)
+        pm, accs = _train_once(train_samples, registry, meta, params)
         for mdl, acc in zip(pm.models, accs):
             print(
                 f"pair {mdl.pos_class}/{mdl.neg_class}: train accuracy "

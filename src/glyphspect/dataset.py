@@ -21,7 +21,6 @@ import numpy as np
 from .imaging import (
     BinaryImage,
     GrayImage,
-    PgmParseError,
     binary_to_gray,
     crop_to_bbox,
     load_pgm,
@@ -129,6 +128,29 @@ class SynthParams:
             raise ValueError("count must be positive")
 
 
+def _read_csv(
+    path: Path, what: str, header: list[str], error: type[ValueError]
+) -> list[list[str]]:
+    """The data rows of a UTF-8 CSV file that must start with `header`.
+
+    Raises `error` for a missing file, bytes that are not UTF-8, a CSV
+    syntax error (such as a cell over the csv module's field limit), a
+    wrong header or no data rows.
+    """
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"{what} {path}: {exc}") from None
+    if rows and [cell.strip() for cell in rows[0]] != header:
+        raise error(f"{what} must start with a '{','.join(header)}' header")
+    if len(rows) < 2:
+        raise error(f"{what} is empty")
+    return rows[1:]
+
+
 def load_manifest(path) -> list[GlyphSample]:
     """Read a 'path,label' CSV manifest; image paths resolve relative to it.
 
@@ -136,30 +158,15 @@ def load_manifest(path) -> list[GlyphSample]:
     legal data. Raises ManifestError naming the offending row.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ManifestError(f"manifest not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ManifestError("manifest is empty")
-    if [cell.strip() for cell in rows[0]] != ["path", "label"]:
-        raise ManifestError("manifest must start with a 'path,label' header")
-    if len(rows) == 1:
-        raise ManifestError("manifest is empty")
-
+    rows = _read_csv(path, "manifest", ["path", "label"], ManifestError)
     samples = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(rows, start=2):
         if len(row) != 2 or not row[0].strip() or not row[1]:
             raise ManifestError(f"manifest row {line_no}: expected 'path,label'")
         rel, label = row[0].strip(), row[1]
-        img_path = path.parent / rel
-        if not img_path.is_file():
-            raise ManifestError(
-                f"manifest row {line_no}: image file not found: {rel}"
-            )
         try:
-            image = load_pgm(img_path.read_bytes())
-        except PgmParseError as exc:
+            image = load_pgm((path.parent / rel).read_bytes())
+        except (OSError, ValueError) as exc:  # PgmParseError, or a NUL in the path
             raise ManifestError(f"manifest row {line_no}: {rel}: {exc}") from exc
         samples.append(GlyphSample(image, label, rel))
     return samples
@@ -167,23 +174,12 @@ def load_manifest(path) -> list[GlyphSample]:
 
 def load_registry(path) -> PairRegistry:
     """Read a 'correct_class,error_class' CSV registry."""
-    path = Path(path)
-    if not path.is_file():
-        raise RegistryError(f"registry not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise RegistryError("registry is empty")
-    if [cell.strip() for cell in rows[0]] != ["correct_class", "error_class"]:
-        raise RegistryError(
-            "registry must start with a 'correct_class,error_class' header"
-        )
-    if len(rows) == 1:
-        raise RegistryError("registry is empty")
-
+    rows = _read_csv(
+        Path(path), "registry", ["correct_class", "error_class"], RegistryError
+    )
     pairs = []
     seen = set()
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(rows, start=2):
         if len(row) != 2 or not row[0] or not row[1]:
             raise RegistryError(
                 f"registry row {line_no}: expected 'correct_class,error_class'"

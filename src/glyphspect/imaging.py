@@ -111,7 +111,7 @@ class BinaryImage(_Raster):
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _SAMPLE_BYTES = b"0123456789" + _WHITESPACE  # all a P2 raster may hold
-_COMMENT = re.compile(rb"#[^\n]*")
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def load_pgm(data: bytes) -> GrayImage:

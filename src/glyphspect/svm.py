@@ -164,6 +164,8 @@ class SvmModel:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if not (len(self.support_x) == len(self.support_y) == len(self.alpha) >= 1):
             raise ValueError("support vectors, labels, and alphas must align")
+        if self.dim < 1:
+            raise ValueError("feature dimension must be positive")
         if self.gamma <= 0.0 or self.c <= 0.0:
             raise ValueError("gamma and c must be positive")
         if self.pos_class == self.neg_class:
@@ -343,8 +345,15 @@ class PairwiseModel:
             raise ValueError("pairwise model needs at least one pair machine")
         if not self.classes:
             raise ValueError("pairwise model needs at least one class")
+        if not all(self.classes):
+            raise ValueError("class names must be non-empty")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("duplicate class names")
+        if self.meta is not None and 2 * self.meta.m != self.models[0].dim:
+            raise ValueError(
+                f"feature dimension {self.models[0].dim} differs from "
+                f"2m = {2 * self.meta.m} in the metadata"
+            )
         known = set(self.classes)
         seen_pairs = set()
         first = self.models[0]
@@ -436,10 +445,10 @@ def train_pairwise(
         ys = []
         for row, label in zip(features, labels):
             if label == pos:
-                xs.append(tuple(float(v) for v in row))
+                xs.append(row)
                 ys.append(1)
             elif label == neg:
-                xs.append(tuple(float(v) for v in row))
+                xs.append(row)
                 ys.append(-1)
         data = TrainingSet(tuple(xs), tuple(ys))
         models.append(
@@ -464,56 +473,12 @@ def predict_multiclass(
     return winner, votes
 
 
-def _format_real(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError("non-finite real cannot be serialized")
-    return format(float(value), ".17g")
-
-
-def _emit(value, parts: list[str], level: int) -> None:
-    pad = "  " * level
-    if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        items = list(value.items())
-        for idx, (key, val) in enumerate(items):
-            parts.append("  " * (level + 1) + json.dumps(key) + ": ")
-            _emit(val, parts, level + 1)
-            parts.append(",\n" if idx < len(items) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            parts.append("[" + ", ".join(_scalar(v) for v in value) + "]")
-            return
-        parts.append("[\n")
-        for idx, val in enumerate(value):
-            parts.append("  " * (level + 1))
-            _emit(val, parts, level + 1)
-            parts.append(",\n" if idx < len(value) - 1 else "\n")
-        parts.append(pad + "]")
-    else:
-        parts.append(_scalar(value))
-
-
-def _scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_real(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"unsupported scalar {value!r}")
-
-
 def save_model(pm: PairwiseModel) -> bytes:
-    """Serialize to versioned JSON; reals carry 17 significant digits."""
+    """Serialize to versioned JSON on one line.
+
+    Each real is written as its shortest round-trip repr, so a loaded model
+    compares equal to the saved one and makes bit-identical decisions.
+    """
     if pm.meta is None:
         raise ValueError("pairwise model carries no metadata; cannot serialize")
     doc = {
@@ -524,142 +489,103 @@ def save_model(pm: PairwiseModel) -> bytes:
         "c": float(pm.models[0].c),
         "seed": pm.meta.seed,
         "normalize": pm.meta.normalize,
-        "classes": list(pm.classes),
+        "classes": pm.classes,
         "pairs": [
             {
                 "pos_class": mdl.pos_class,
                 "neg_class": mdl.neg_class,
                 "bias": float(mdl.bias),
                 "support": [
-                    {"y": label, "alpha": float(a), "x": [float(v) for v in sv]}
+                    {"y": label, "alpha": a, "x": sv}
                     for sv, label, a in zip(mdl.support_x, mdl.support_y, mdl.alpha)
                 ],
             }
             for mdl in pm.models
         ],
     }
-    parts: list[str] = []
-    _emit(doc, parts, 0)
-    parts.append("\n")
-    return "".join(parts).encode("utf-8")
+    return (json.dumps(doc, allow_nan=False) + "\n").encode()
 
 
-def _field(doc: dict, key: str, kinds, what: str):
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
+
+
+def _field(doc, key: str, kind: type, where: str):
+    """doc[key], which must be present and of exactly the JSON type `kind`."""
+    if type(doc) is not dict:
+        raise ModelFormatError(f"{where} must be a JSON object")
     if key not in doc:
-        raise ModelFormatError(f"missing field '{key}'")
+        raise ModelFormatError(f"{where}: missing field '{key}'")
     value = doc[key]
-    if isinstance(value, bool) and bool not in (
-        kinds if isinstance(kinds, tuple) else (kinds,)
-    ):
-        raise ModelFormatError(f"field '{key}' must be {what}")
-    if not isinstance(value, kinds):
-        raise ModelFormatError(f"field '{key}' must be {what}")
+    if kind is float:
+        return _real(value, f"{where}: field '{key}'")
+    if type(value) is not kind:
+        raise ModelFormatError(f"{where}: field '{key}' must be {_TYPE_NAMES[kind]}")
     return value
 
 
-def _finite_real(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _real(value, where: str) -> float:
+    """A JSON number as a finite float; JSON 1e400 and Infinity parse to inf."""
+    if type(value) is not float and type(value) is not int:
         raise ModelFormatError(f"{where} must be a real number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ModelFormatError(f"{where} is not finite")
     return value
 
 
 def load_model(data: bytes) -> PairwiseModel:
-    """Parse and validate a serialized PairwiseModel.
+    """Parse a serialized PairwiseModel.
 
-    Every stored invariant is checked: version, parameter ranges,
-    0 < alpha <= c, the dual equality constraint per pair, finite reals,
-    and consistent feature dimensions.
+    The loader checks what only a file can get wrong: JSON syntax, field
+    presence, exact JSON types (so `true` is not read as 1), finite reals,
+    the format version, and each pair's dual equality constraint (which
+    hand-built stub models may break). Every other invariant is checked by
+    the ModelMeta, SvmModel and PairwiseModel constructors; their errors
+    are raised as ModelFormatError.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"invalid model file: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model file must contain a JSON object")
 
-    version = _field(doc, "format_version", int, "an integer")
+    version = _field(doc, "format_version", int, "model")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version}")
-    n = _field(doc, "n", int, "an integer")
-    m = _field(doc, "m", int, "an integer")
-    gamma = _finite_real(doc.get("gamma"), "field 'gamma'")
-    c = _finite_real(doc.get("c"), "field 'c'")
-    if gamma <= 0.0:
-        raise ModelFormatError("gamma must be positive")
-    if c <= 0.0:
-        raise ModelFormatError("c must be positive")
-    seed = _field(doc, "seed", int, "an integer")
-    normalize = _field(doc, "normalize", bool, "a boolean")
-    try:
-        meta = ModelMeta(n=n, m=m, seed=seed, normalize=normalize)
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
+    n = _field(doc, "n", int, "model")
+    m = _field(doc, "m", int, "model")
+    gamma = _field(doc, "gamma", float, "model")
+    c = _field(doc, "c", float, "model")
+    seed = _field(doc, "seed", int, "model")
+    normalize = _field(doc, "normalize", bool, "model")
+    classes = _field(doc, "classes", list, "model")
+    if not all(type(cls) is str for cls in classes):
+        raise ModelFormatError("model: classes must be a list of names")
 
-    classes = _field(doc, "classes", list, "a list")
-    if not classes or not all(isinstance(cls, str) and cls for cls in classes):
-        raise ModelFormatError("classes must be a non-empty list of names")
-    if len(set(classes)) != len(classes):
-        raise ModelFormatError("duplicate class names")
-
-    raw_pairs = _field(doc, "pairs", list, "a list")
-    if not raw_pairs:
-        raise ModelFormatError("model stores no pairs")
     models = []
-    dim = None
-    for entry in raw_pairs:
-        if not isinstance(entry, dict):
-            raise ModelFormatError("each pair must be a JSON object")
-        pos = _field(entry, "pos_class", str, "a string")
-        neg = _field(entry, "neg_class", str, "a string")
+    for entry in _field(doc, "pairs", list, "model"):
+        pos = _field(entry, "pos_class", str, "pair")
+        neg = _field(entry, "neg_class", str, "pair")
         where = f"pair {pos}/{neg}"
-        bias = _finite_real(entry.get("bias"), f"{where} bias")
-        support = _field(entry, "support", list, "a list")
-        if not support:
-            raise ModelFormatError(f"{where} has no support vectors")
+        bias = _field(entry, "bias", float, where)
+        in_entry = f"{where} support entry"
+        component = f"{where}: support component"
         xs, ys, alphas = [], [], []
-        for sv in support:
-            if not isinstance(sv, dict):
-                raise ModelFormatError(f"{where}: support entries must be objects")
-            label = sv.get("y")
-            if label not in (-1, 1):
-                raise ModelFormatError(f"{where}: label must be -1 or +1")
-            a = _finite_real(sv.get("alpha"), f"{where} alpha")
-            if a <= 0.0:
-                raise ModelFormatError(f"{where}: alpha must be positive")
-            if a > c:
-                raise ModelFormatError(
-                    f"{where}: alpha {a} exceeds box constraint {c}"
-                )
-            row = sv.get("x")
-            if not isinstance(row, list) or not row:
-                raise ModelFormatError(f"{where}: support vector must be a list")
-            vec = tuple(
-                _finite_real(v, f"{where} support component") for v in row
-            )
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ModelFormatError(f"{where}: support vector dimension mismatch")
-            xs.append(vec)
-            ys.append(int(label))
-            alphas.append(a)
-        balance = sum(a * label for a, label in zip(alphas, ys))
-        if abs(balance) > _EQUALITY_TOL:
-            raise ModelFormatError(
-                f"{where}: dual equality constraint violated ({balance})"
-            )
+        for sv in _field(entry, "support", list, where):
+            ys.append(_field(sv, "y", int, in_entry))
+            alphas.append(_field(sv, "alpha", float, in_entry))
+            xs.append([_real(v, component) for v in _field(sv, "x", list, in_entry)])
         try:
             models.append(
                 SvmModel(
-                    support_x=tuple(xs),
-                    support_y=tuple(ys),
-                    alpha=tuple(alphas),
+                    support_x=xs,
+                    support_y=ys,
+                    alpha=alphas,
                     bias=bias,
                     gamma=gamma,
-                    dim=dim,
+                    dim=len(xs[0]) if xs else 0,
                     pos_class=pos,
                     neg_class=neg,
                     c=c,
@@ -667,8 +593,14 @@ def load_model(data: bytes) -> PairwiseModel:
             )
         except ValueError as exc:
             raise ModelFormatError(f"{where}: {exc}") from None
+        balance = sum(a * label for a, label in zip(alphas, ys))
+        if abs(balance) > _EQUALITY_TOL:
+            raise ModelFormatError(
+                f"{where}: dual equality constraint violated ({balance})"
+            )
 
     try:
+        meta = ModelMeta(n=n, m=m, seed=seed, normalize=normalize)
         return PairwiseModel(tuple(models), tuple(classes), meta)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None

@@ -270,6 +270,42 @@ class TestTrainEvaluatePredict:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--m", "0"], ["--n", "0"], ["--gamma", "0"],
+                                       ["--c", "-1"]])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
+        code = run(
+            ["train", "--manifest", str(tmp_path / "none.csv"),
+             "--registry", str(tmp_path / "r.csv"), "--model", str(tmp_path / "m"),
+             *flags]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: train:")
+
+    def test_unparseable_model_is_one_line_data_error(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        deep = tmp_path / "deep.json"
+        deep.write_bytes(b"[" * 100000)
+        code = run(
+            ["evaluate", "--model", str(deep), "--manifest", str(out / "manifest.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: evaluate:") and err.count("\n") == 1
+
+    def test_oversized_manifest_cell_is_one_line_data_error(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        manifest = tmp_path / "big.csv"
+        manifest.write_bytes(b"path,label\n" + b"a" * 131073 + b",ring\n")
+        code = run(
+            ["train", "--manifest", str(manifest),
+             "--registry", str(out / "registry.csv"), "--model", str(tmp_path / "m")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train:") and err.count("\n") == 1
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = run(
             ["train", "--manifest", str(tmp_path / "none.csv"),
@@ -312,6 +348,17 @@ class TestConfigFile:
             ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
         )
         assert code == 1
+
+    def test_config_value_of_wrong_kind_is_usage_error(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": [16]}))
+        code = run(
+            ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: featurize:")
 
     def test_invalid_m_is_usage_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)

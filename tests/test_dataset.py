@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from glyphspect.imaging import BinaryImage, binarize_otsu, crop_to_bbox, load_pgm, resize_to_square
 from glyphspect.dataset import (
@@ -108,6 +109,62 @@ class TestRegistry:
         reg = PairRegistry((("a", "b"), ("c", "d")))
         write_registry(reg, tmp_path / "r.csv")
         assert load_registry(tmp_path / "r.csv") == reg
+
+
+_HEADERS = {
+    load_manifest: b"path,label\n", load_registry: b"correct_class,error_class\n"
+}
+_ERRORS = {load_manifest: ManifestError, load_registry: RegistryError}
+
+
+@pytest.mark.parametrize("load", [load_manifest, load_registry])
+@pytest.mark.parametrize(
+    "body, match",
+    [(b"a,\xff\n", "utf-8"), (b"a" * 131073 + b",b\n", "field limit")],
+    ids=["not-utf8", "oversized-cell"],
+)
+def test_csv_loaders_name_decode_and_csv_errors(tmp_path, load, body, match):
+    path = tmp_path / "f.csv"
+    path.write_bytes(_HEADERS[load] + body)
+    with pytest.raises(_ERRORS[load], match=match):
+        load(path)
+
+
+def test_manifest_overlong_image_path_is_manifest_error(tmp_path):
+    (tmp_path / "m.csv").write_text("path,label\n" + "a" * 300 + ",b\n")
+    with pytest.raises(ManifestError, match="row 2"):
+        load_manifest(tmp_path / "m.csv")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "x.pgm").write_bytes(b"P2 1 1 255\n0\n")
+    return root
+
+
+_CSV_TOKENS = st.sampled_from([
+    b"x.pgm", b"a", b"b", b",", b"\n", b"\r", b'"', b" ", b"\x00", b"\xff", b"\xc3",
+    b"a" * 300,
+])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    prefix=st.sampled_from([b""] + list(_HEADERS.values())),
+    body=st.one_of(
+        st.binary(max_size=64), st.lists(_CSV_TOKENS, max_size=8).map(b"".join)
+    ),
+)
+@example(prefix=b"path,label\n", body=b"a" * 131073)
+def test_csv_loaders_raise_only_their_named_errors(fuzz_dir, prefix, body):
+    path = fuzz_dir / "fuzz.csv"
+    path.write_bytes(prefix + body)
+    for load, error in _ERRORS.items():
+        try:
+            load(path)
+        except error:
+            pass
 
 
 class TestSplitEven:

@@ -153,6 +153,8 @@ class TestLoadPgm:
     def test_header_comments(self):
         data = b"P2 # format\n# a comment line\n2 1 # dims\n255\n5 6\n"
         assert load_pgm(data).pixels.tolist() == [[5, 6]]
+        # a CR ends a comment in the raster as it does in the header
+        assert load_pgm(b"P2 2 1 255\n5 # c\r6\n").pixels.tolist() == [[5, 6]]
 
     def test_truncated_ascii(self):
         with pytest.raises(PgmParseError, match="truncated pixel data"):

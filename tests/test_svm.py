@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from glyphspect import svm
 from glyphspect.svm import (
@@ -311,6 +312,22 @@ class TestSvmModelValidation:
         with pytest.raises(ValueError):
             stub_model("a", "a", +1)
 
+    def test_empty_feature_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            stub_model("a", "b", +1, dim=0)
+
+
+class TestPairwiseModelValidation:
+    def test_meta_m_must_match_feature_dimension(self):
+        models = (stub_model("a", "b", +1, dim=2),)
+        assert PairwiseModel(models, ("a", "b"), ModelMeta(n=2, m=1, seed=0))
+        with pytest.raises(ValueError, match="dimension 2 differs from 2m = 4"):
+            PairwiseModel(models, ("a", "b"), ModelMeta(n=2, m=2, seed=0))
+
+    def test_empty_class_name_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            PairwiseModel((stub_model("", "b", +1),), ("", "b"))
+
 
 def four_class_samples(rng, per_class=4):
     centers = {"a": (0, 0), "b": (4, 0), "c": (0, 4), "d": (4, 4)}
@@ -495,6 +512,86 @@ class TestSerialization:
         data = self._mutate(lambda d: d.pop("gamma"))
         with pytest.raises(ModelFormatError, match="gamma"):
             load_model(data)
+
+    def test_saved_model_is_one_json_line_and_loads_equal(self):
+        pm = trained_pairwise()
+        blob = save_model(pm)
+        assert blob.endswith(b"\n") and blob.count(b"\n") == 1
+        assert load_model(blob) == pm
+
+    def test_boolean_label_rejected(self):
+        def boolean(doc):
+            sv = doc["pairs"][0]["support"][0]
+            sv["y"] = sv["y"] > 0
+        with pytest.raises(ModelFormatError, match="'y' must be an integer"):
+            load_model(self._mutate(boolean))
+
+    def test_meta_dimension_mismatch_rejected(self):
+        data = self._mutate(lambda d: d.update(m=2))
+        with pytest.raises(ModelFormatError, match="dimension"):
+            load_model(data)
+
+    @pytest.mark.parametrize(
+        "literal", [b"1e400", b"-Infinity", b"1" + b"0" * 400],
+        ids=["1e400", "-Infinity", "401-digit-integer"],
+    )
+    def test_nonfinite_literal_rejected(self, literal):
+        data = self._mutate(lambda d: d["pairs"][0].update(bias="BIAS"))
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(data.replace(b'"BIAS"', literal))
+
+    @pytest.mark.parametrize(
+        "data", [b"[" * 100000, b"1" * 5000], ids=["deep-nesting", "5000-digit-integer"]
+    )
+    def test_unparseable_json_rejected(self, data):
+        with pytest.raises(ModelFormatError, match="invalid model file"):
+            load_model(data)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_MODEL_PATHS = [
+    ("n",), ("m",), ("gamma",), ("c",), ("normalize",), ("classes",), ("classes", 0),
+    ("pairs",), ("pairs", 0), ("pairs", 0, "pos_class"), ("pairs", 0, "bias"),
+    ("pairs", 0, "support"), ("pairs", 0, "support", 0, "y"),
+    ("pairs", 0, "support", 0, "alpha"), ("pairs", 0, "support", 0, "x"),
+    ("pairs", 0, "support", 0, "x", 0),
+]
+
+
+_SAVED = save_model(trained_pairwise())
+
+
+def _model_with(path, value) -> bytes:
+    """A valid saved model with the value at `path` replaced."""
+    doc = json.loads(_SAVED)
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=64),
+        _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+        st.builds(_model_with, st.sampled_from(_MODEL_PATHS), _JSON_VALUES),
+    )
+)
+@example(data=b"[" * 100000)
+@example(data=b"1" * 5000)
+def test_load_model_raises_only_its_named_error(data):
+    try:
+        pm = load_model(data)
+    except ModelFormatError:
+        return
+    assert load_model(save_model(pm)) == pm
 
 
 def test_default_gamma():
