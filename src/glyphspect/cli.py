@@ -52,7 +52,7 @@ def _load_config_file(args) -> None:
         raise UsageError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError("config file must contain a JSON object")
@@ -116,7 +116,7 @@ def _require_pair_counts(samples, registry) -> None:
     for cls, k in counts.items():
         if k < 2:
             raise ValueError(
-                f"class '{cls}' has {k} sample(s) in the manifest; "
+                f"class {cls!r} has {k} sample(s) in the manifest; "
                 "need at least 2"
             )
 

@@ -91,10 +91,10 @@ class PairRegistry:
             if not a or not b:
                 raise ValueError("registry class names must be non-empty")
             if a == b:
-                raise ValueError(f"registry pair {a}/{b}: classes must differ")
+                raise ValueError(f"registry pair {a!r}/{b!r}: classes must differ")
             key = frozenset((a, b))
             if key in seen:
-                raise ValueError(f"duplicate registry pair {a}/{b}")
+                raise ValueError(f"duplicate registry pair {a!r}/{b!r}")
             seen.add(key)
 
     @property
@@ -167,32 +167,28 @@ def load_manifest(path) -> list[GlyphSample]:
         try:
             image = load_pgm((path.parent / rel).read_bytes())
         except (OSError, ValueError) as exc:  # PgmParseError, or a NUL in the path
-            raise ManifestError(f"manifest row {line_no}: {rel}: {exc}") from exc
+            raise ManifestError(f"manifest row {line_no}: {rel!r}: {exc}") from exc
         samples.append(GlyphSample(image, label, rel))
     return samples
 
 
 def load_registry(path) -> PairRegistry:
-    """Read a 'correct_class,error_class' CSV registry."""
+    """Read a 'correct_class,error_class' CSV registry.
+
+    The pair rules are PairRegistry's; their ValueError becomes RegistryError.
+    """
     rows = _read_csv(
         Path(path), "registry", ["correct_class", "error_class"], RegistryError
     )
-    pairs = []
-    seen = set()
     for line_no, row in enumerate(rows, start=2):
-        if len(row) != 2 or not row[0] or not row[1]:
+        if len(row) != 2:
             raise RegistryError(
                 f"registry row {line_no}: expected 'correct_class,error_class'"
             )
-        a, b = row
-        if a == b:
-            raise RegistryError(f"registry row {line_no}: classes must differ")
-        key = frozenset((a, b))
-        if key in seen:
-            raise RegistryError(f"registry row {line_no}: duplicate pair {a}/{b}")
-        seen.add(key)
-        pairs.append((a, b))
-    return PairRegistry(tuple(pairs))
+    try:
+        return PairRegistry(tuple(rows))
+    except ValueError as exc:
+        raise RegistryError(str(exc)) from None
 
 
 def write_registry(registry: PairRegistry, path) -> None:
@@ -253,7 +249,7 @@ def synth_generate(
         raise ValueError("n must be positive")
     for label in sorted(templates):
         if templates[label].ink_count == 0:
-            raise ValueError(f"template '{label}' has no ink")
+            raise ValueError(f"template {label!r} has no ink")
 
     rng = random.Random(params.seed)
     samples = []

@@ -90,7 +90,7 @@ def evaluate_pair(
     if positive is None:
         positive = model.pos_class
     if positive not in (model.pos_class, model.neg_class):
-        raise ValueError(f"'{positive}' is not a class of this model")
+        raise ValueError(f"{positive!r} is not a class of this model")
     negative = model.neg_class if positive == model.pos_class else model.pos_class
 
     tp = fp = tn = fn = 0

@@ -47,10 +47,10 @@ class ProjectionPair:
         object.__setattr__(self, "v", _frozen(self.v, np.int64))
         if self.h.shape != (self.n,) or self.v.shape != (self.n,):
             raise ValueError("projection length does not match n")
-        for signal in (self.h, self.v):
-            if signal.min() < 0 or signal.max() > self.n:
-                raise ValueError(f"projection count outside [0, {self.n}]")
-        if self.h.sum() != self.v.sum():
+        h, v = self.h.tolist(), self.v.tolist()  # builtins beat tiny numpy reductions
+        if min(h + v) < 0 or max(h + v) > self.n:
+            raise ValueError(f"projection count outside [0, {self.n}]")
+        if sum(h) != sum(v):
             raise ValueError("row and column projections must count the same ink")
 
 
@@ -77,7 +77,7 @@ class FeatureVector:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if self.m < 1:
             raise ValueError("m must be positive")
         if len(self.values) != 2 * self.m:
@@ -107,13 +107,16 @@ def dft(signal: Sequence[float]) -> Spectrum:
     return Spectrum(np.fft.fft(np.asarray(signal, dtype=np.float64)))
 
 
+def _magnitudes(coeffs: np.ndarray) -> tuple[float, ...]:
+    # |c| row by row by hypot, as abs(complex) does; np.abs can differ in the last bit
+    return tuple(np.hypot(coeffs.real, coeffs.imag).ravel().tolist())
+
+
 def truncate_spectrum(spec: Spectrum, m: int) -> tuple[float, ...]:
     """Keep the magnitudes of the lowest m coefficients."""
     if not 1 <= m <= len(spec):
         raise ValueError(f"m must satisfy 1 <= m <= {len(spec)}, got {m}")
-    low = spec.coeffs[:m]
-    # hypot, as Python's abs(complex) computes it; np.abs can differ in the last bit
-    return tuple(np.hypot(low.real, low.imag).tolist())
+    return _magnitudes(spec.coeffs[:m])
 
 
 def extract_features(
@@ -121,13 +124,15 @@ def extract_features(
 ) -> FeatureVector:
     """Build the 2m-value feature vector of an n-by-n glyph (m <= n).
 
+    Equals truncate_spectrum(dft(h), m) + truncate_spectrum(dft(v), m), in one FFT.
     Optionally L2-normalizes the final vector; off by default since the
     fixed square resize already standardizes scale.
     """
     pair = project(img)
     if not 1 <= m <= pair.n:
         raise ValueError(f"m must satisfy 1 <= m <= {pair.n}, got {m}")
-    values = truncate_spectrum(dft(pair.h), m) + truncate_spectrum(dft(pair.v), m)
+    coeffs = np.fft.fft(np.array((pair.h, pair.v), dtype=np.float64))
+    values = _magnitudes(coeffs[:, :m])
     if normalize:
         norm = math.sqrt(sum(v * v for v in values))
         if norm > 0.0:

@@ -112,62 +112,51 @@ class BinaryImage(_Raster):
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _SAMPLE_BYTES = b"0123456789" + _WHITESPACE  # all a P2 raster may hold
 _COMMENT = re.compile(rb"#[^\r\n]*")
+# Four header tokens, each after any whitespace and comments (in a bytes
+# pattern \s is exactly _WHITESPACE); a token is empty where the data ends.
+_HEADER = re.compile(rb"(?:\s+|#[^\r\n]*)*([^\s#]*)" * 4)
+
+
+def _header_int(token: bytes, field: str) -> int:
+    if not token:
+        raise PgmParseError(f"missing {field} in header")
+    if not token.isdigit():  # bytes.isdigit accepts ASCII digits only
+        raise PgmParseError(f"invalid {field} {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's int-conversion digit limit
+        raise PgmParseError(f"{field} has too many digits") from None
 
 
 def load_pgm(data: bytes) -> GrayImage:
     """Parse a PGM file (binary P5 or ASCII P2, maxval <= 255).
 
-    Header comments starting with '#' are allowed. Every number must be
-    plain ASCII digits (no sign, no '_'). Raises PgmParseError naming the
-    offending field on any malformed input.
+    Comments starting with '#' and ending at CR or LF are allowed in the
+    header and in a P2 raster. Every number must be plain ASCII digits (no
+    sign, no '_'). Raises PgmParseError naming the offending field on any
+    malformed input.
     """
     data = bytes(data)
-
-    def skip_separators(pos: int) -> int:
-        while pos < len(data):
-            if data[pos] in _WHITESPACE:
-                pos += 1
-            elif data[pos] == 0x23:  # '#' comment runs to end of line
-                while pos < len(data) and data[pos] not in (0x0A, 0x0D):
-                    pos += 1
-            else:
-                break
-        return pos
-
-    def next_token(pos: int, field: str) -> tuple[bytes, int]:
-        pos = skip_separators(pos)
-        start = pos
-        while pos < len(data) and data[pos] not in _WHITESPACE and data[pos] != 0x23:
-            pos += 1
-        if start == pos:
-            raise PgmParseError(f"missing {field} in header")
-        return data[start:pos], pos
-
-    def int_token(pos: int, field: str) -> tuple[int, int]:
-        tok, pos = next_token(pos, field)
-        if not tok.isdigit():  # bytes.isdigit accepts ASCII digits only
-            raise PgmParseError(f"invalid {field} {tok!r}")
-        try:
-            return int(tok), pos
-        except ValueError:  # past the interpreter's int-conversion digit limit
-            raise PgmParseError(f"{field} has too many digits") from None
-
-    magic, pos = next_token(0, "magic number")
+    header = _HEADER.match(data)
+    magic = header[1]
+    if not magic:
+        raise PgmParseError("missing magic number in header")
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"malformed magic number {magic!r}: expected P2 or P5")
-    width, pos = int_token(pos, "width")
-    height, pos = int_token(pos, "height")
+    width = _header_int(header[2], "width")
+    height = _header_int(header[3], "height")
     if width < 1:
         raise PgmParseError(f"width must be positive, got {width}")
     if height < 1:
         raise PgmParseError(f"height must be positive, got {height}")
-    maxval, pos = int_token(pos, "maxval")
+    maxval = _header_int(header[4], "maxval")
     if maxval < 1:
         raise PgmParseError(f"maxval must be positive, got {maxval}")
     if maxval > 255:
         raise PgmParseError(f"maxval {maxval} exceeds 255")
 
     count = width * height
+    pos = header.end()
     if magic == b"P5":
         if pos >= len(data) or data[pos] not in _WHITESPACE:
             raise PgmParseError("maxval must be followed by a single whitespace byte")
@@ -180,27 +169,35 @@ def load_pgm(data: bytes) -> GrayImage:
     else:
         # Plain format: strip comments, then whitespace-separated decimals.
         text = _COMMENT.sub(b"", data[pos:])
-        tokens = text.split()
-        if len(tokens) < count:
+        valid = not text.translate(None, _SAMPLE_BYTES)
+        if valid and text.strip():  # fromstring reads a blank text as [0]
+            values = np.fromstring(text, dtype=np.int64, sep=" ")
+            found = len(values)
+        else:
+            tokens = text.split()
+            found = len(tokens)
+        if found < count:
             raise PgmParseError(
-                f"truncated pixel data: expected {count} values, found {len(tokens)}"
+                f"truncated pixel data: expected {count} values, found {found}"
             )
-        if len(tokens) > count:
+        if found > count:
             raise PgmParseError(
-                f"excess pixel data: expected {count} values, found {len(tokens)}"
+                f"excess pixel data: expected {count} values, found {found}"
             )
-        if text.translate(None, _SAMPLE_BYTES):
+        if not valid:
             bad = next(tok for tok in tokens if not tok.isdigit())
             raise PgmParseError(f"invalid pixel value {bad!r}")
-        try:
-            values = np.array(tokens, dtype=np.int64)
-        except (OverflowError, ValueError):  # past int64, or too many digits
-            raise PgmParseError(f"pixel value exceeds maxval {maxval}") from None
 
     worst = int(values.max())
     if worst > maxval:
+        if magic == b"P2":
+            try:  # fromstring saturates a sample past int64; this parse refuses it
+                np.array(text.split(), dtype=np.int64)
+            except (OverflowError, ValueError):  # past int64, or too many digits
+                raise PgmParseError(f"pixel value exceeds maxval {maxval}") from None
         raise PgmParseError(f"pixel value {worst} exceeds maxval {maxval}")
-    return GrayImage(width, height, values)
+    # in [0, 255] now, so uint8 spares the constructor its range check
+    return GrayImage(width, height, values.astype(np.uint8, copy=False))
 
 
 def write_pgm(img: GrayImage) -> bytes:

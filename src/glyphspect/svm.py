@@ -437,7 +437,7 @@ def train_pairwise(
         present = set(observed)
         for cls in class_order:
             if cls not in present:
-                raise DegenerateTrainingError(f"class '{cls}' has no samples")
+                raise DegenerateTrainingError(f"class {cls!r} has no samples")
 
     models = []
     for idx, (pos, neg) in enumerate(pair_list):

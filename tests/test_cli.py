@@ -306,6 +306,34 @@ class TestTrainEvaluatePredict:
         err = capsys.readouterr().err
         assert err.startswith("error: train:") and err.count("\n") == 1
 
+    def test_newline_in_manifest_cell_is_one_line_data_error(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        manifest = tmp_path / "nl.csv"
+        manifest.write_bytes(b'path,label\n"a\nb",ring\n')
+        code = run(
+            ["train", "--manifest", str(manifest),
+             "--registry", str(out / "registry.csv"), "--model", str(tmp_path / "m")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train: manifest row 2: 'a\\nb'")
+        assert err.count("\n") == 1
+
+    def test_newline_in_registry_cell_is_one_line_error(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        registry = tmp_path / "nl.csv"
+        registry.write_bytes(b'correct_class,error_class\n"ri\nng",cup\n')
+        code = run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(registry), "--model", str(tmp_path / "m")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train: class 'ri\\nng' has 0 sample(s)")
+        assert err.count("\n") == 1
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = run(
             ["train", "--manifest", str(tmp_path / "none.csv"),
@@ -359,6 +387,17 @@ class TestConfigFile:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: featurize:")
+
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff")
+        code = run(
+            ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: featurize: config file")
 
     def test_invalid_m_is_usage_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)

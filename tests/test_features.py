@@ -211,6 +211,25 @@ class TestExtractFeatures:
             assert all(abs(x - y) <= 1e-9 * scale for x, y in zip(a, b))
 
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_equals_per_axis_spectra_bit_for_bit(self, normalize):
+        rng = random.Random(32)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            density = rng.random()
+            px = tuple(int(rng.random() < density) for _ in range(n * n))
+            img = BinaryImage(n, n, px)
+            m = rng.randint(1, n)
+            pair = project(img)
+            ref = truncate_spectrum(dft(pair.h), m) + truncate_spectrum(dft(pair.v), m)
+            if normalize:
+                norm = math.sqrt(sum(v * v for v in ref))
+                if norm > 0.0:
+                    ref = tuple(v / norm for v in ref)
+            got = extract_features(img, m, normalize).values
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+
 class TestFeatureVectorInvariants:
     def test_length_must_be_2m(self):
         with pytest.raises(ValueError):

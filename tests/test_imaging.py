@@ -211,15 +211,40 @@ class TestLoadPgm:
         with pytest.raises(PgmParseError, match=field):
             load_pgm(template.replace(b"{}", token))
 
+    def test_invalid_sample_is_named(self):
+        with pytest.raises(PgmParseError, match=r"^invalid pixel value b'1_0'$"):
+            load_pgm(b"P2 3 1 255\n7 1_0 # c\n8\n")
+
     def test_leading_zeros_and_long_samples(self):
         img = load_pgm(b"P2 01 1 0255\n00000000000000000000007\n")
         assert img.pixels.tolist() == [[7]]
+        # past the interpreter's int-conversion digit limit, yet only 7
+        assert load_pgm(b"P2 1 1 255\n" + b"0" * 5000 + b"7\n").at(0, 0) == 7
         with pytest.raises(PgmParseError, match="exceeds maxval"):
             load_pgm(b"P2 1 1 255\n" + b"9" * 20 + b"\n")
         with pytest.raises(PgmParseError, match="exceeds maxval"):
             load_pgm(b"P2 1 1 255\n" + b"9" * 5000 + b"\n")
         with pytest.raises(PgmParseError, match="width"):
             load_pgm(b"P2 " + b"9" * 5000 + b" 1 255\n0\n")
+
+    @pytest.mark.parametrize(
+        "raster", [b"", b" \n\t", b"\r\x0b\x0c", b"# only a comment\n", b"#a\r #b"]
+    )
+    def test_blank_raster_is_truncated(self, raster):
+        with pytest.raises(
+            PgmParseError, match=r"^truncated pixel data: expected 4 values, found 0$"
+        ):
+            load_pgm(b"P2 2 2 255\n" + raster)
+
+    def test_sample_past_int64_names_no_value(self):
+        # int64 saturates past 9223372036854775807; no number may be invented
+        with pytest.raises(PgmParseError, match=r"^pixel value exceeds maxval 255$"):
+            load_pgm(b"P2 2 1 255\n7 " + b"1" * 20 + b"\n")
+        with pytest.raises(
+            PgmParseError,
+            match=r"^pixel value 9223372036854775807 exceeds maxval 255$",
+        ):
+            load_pgm(b"P2 1 1 255\n09223372036854775807\n")
 
     def test_p5_and_p2_encodings_decode_alike(self):
         rng = random.Random(17)
@@ -422,3 +447,40 @@ def test_binary_to_gray_round_trip():
     assert gray.pixels.tolist() == [[0, 255], [255, 0]]
     mask, t = binarize_otsu(gray)
     assert mask == img
+
+
+_SEPARATORS = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n"])
+# A raster comment runs to CR or LF; its end byte stays as a separator.
+_RASTER_COMMENTS = st.builds(
+    lambda text, end: b"#" + text + end,
+    st.binary(max_size=8).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+    st.sampled_from([b"\n", b"\r"]),
+)
+_GAPS = st.lists(st.one_of(_SEPARATORS, _RASTER_COMMENTS), min_size=1, max_size=3).map(
+    b"".join
+)
+
+
+@st.composite
+def p2_files(draw):
+    """A valid P2 file and its samples, each sample as its decimal token."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    maxval = draw(st.integers(1, 255))
+    tokens = [
+        b"0" * draw(st.integers(0, 3)) + b"%d" % draw(st.integers(0, maxval))
+        for _ in range(width * height)
+    ]
+    data = b"P2\n%d %d\n%d" % (width, height, maxval)
+    for tok in tokens:
+        data += draw(_GAPS) + tok
+    data += draw(st.one_of(st.just(b""), _GAPS))
+    return data, width, tokens
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(p2_files())
+def test_load_pgm_p2_matches_int_parse(case):
+    data, width, tokens = case
+    expected = [int(tok) for tok in tokens]
+    rows = [expected[i : i + width] for i in range(0, len(expected), width)]
+    assert load_pgm(data).pixels.tolist() == rows
