@@ -7,6 +7,7 @@ failing subcommand to standard error.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import sys
@@ -19,18 +20,23 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
 
-_CONFIG_KEYS = (
-    "n",
-    "m",
-    "gamma",
-    "c",
-    "seed",
-    "normalize_l2",
-    "manifest",
-    "registry",
-    "model",
-    "csv",
-)
+# Each config key and the JSON type of its value; `float` also takes an
+# integer, and no numeric key takes true or false.
+_CONFIG_KEYS = {
+    "n": int,
+    "m": int,
+    "gamma": float,
+    "c": float,
+    "seed": int,
+    "normalize_l2": bool,
+    "manifest": str,
+    "registry": str,
+    "model": str,
+    "csv": str,
+}
+_JSON_TYPE_NAMES = {
+    int: "an integer", float: "a number", bool: "true or false", str: "a string"
+}
 
 
 class UsageError(Exception):
@@ -49,7 +55,7 @@ def _load_config_file(args) -> None:
         return
     path = Path(args.config)
     if not path.is_file():
-        raise UsageError(f"config file not found: {path}")
+        raise UsageError(f"config file not found: {str(path)!r}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -59,6 +65,11 @@ def _load_config_file(args) -> None:
     for key, value in doc.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key '{key}'")
+        kind = _CONFIG_KEYS[key]
+        if not (type(value) is kind or (kind is float and type(value) is int)):
+            raise UsageError(
+                f"config key '{key}' must be {_JSON_TYPE_NAMES[kind]}"
+            )
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
 
@@ -74,49 +85,54 @@ def _resolve(args) -> tuple[svm.ModelMeta, svm.KernelParams]:
     """Pipeline settings from flags and config file; n defaults to 32, m to
     n/2, gamma to 1/(2m), c to 10 and seed to 42. A value the model types
     reject is a usage error."""
+    n = 32 if args.n is None else args.n
+    m = max(1, n // 2) if args.m is None else args.m
+    seed = 42 if args.seed is None else args.seed
+    gamma = getattr(args, "gamma", None)  # gamma and c: train only
+    c = getattr(args, "c", None)
     try:
-        n = int(args.n) if getattr(args, "n", None) is not None else 32
-        if getattr(args, "m", None) is not None:
-            m = int(args.m)
-        else:
-            m = max(1, n // 2)
-        seed = int(args.seed) if getattr(args, "seed", None) is not None else 42
-        normalize = bool(getattr(args, "normalize_l2", None))
-        meta = svm.ModelMeta(n=n, m=m, seed=seed, normalize=normalize)
-        if getattr(args, "gamma", None) is not None:
-            gamma = float(args.gamma)
-        else:
-            gamma = svm.default_gamma(2 * m)
-        c = float(args.c) if getattr(args, "c", None) is not None else 10.0
-        return meta, svm.KernelParams(gamma=gamma, c=c)
-    except (TypeError, ValueError) as exc:  # TypeError: e.g. a list in the config
+        meta = svm.ModelMeta(n=n, m=m, seed=seed, normalize=bool(args.normalize_l2))
+        gamma = svm.default_gamma(2 * m) if gamma is None else float(gamma)
+        return meta, svm.KernelParams(gamma=gamma, c=10.0 if c is None else float(c))
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _glyph_vector(
-    image: imaging.GrayImage, n: int, m: int, normalize: bool
+    image: imaging.GrayImage, meta: svm.ModelMeta
 ) -> tuple[float, ...]:
     """Normalize one grayscale glyph and extract its feature vector."""
     binary, _ = imaging.binarize_otsu(image)
-    squared = imaging.resize_to_square(imaging.crop_to_bbox(binary), n)
-    return features.extract_features(squared, m, normalize=normalize).values
+    squared = imaging.resize_to_square(imaging.crop_to_bbox(binary), meta.n)
+    return features.extract_features(squared, meta.m, normalize=meta.normalize).values
 
 
-def _featurize_samples(samples, n, m, normalize):
-    vectors = [_glyph_vector(s.image, n, m, normalize) for s in samples]
+def _featurize_samples(samples, meta: svm.ModelMeta):
+    vectors = [_glyph_vector(s.image, meta) for s in samples]
     labels = [s.label for s in samples]
     return vectors, labels
 
 
+def _score_pairs(pm: svm.PairwiseModel, vectors, labels):
+    """(pair, counts, metrics) for each machine, scored on the rows of its
+    two classes only."""
+    scored = []
+    for mdl in pm.models:
+        pair = (mdl.pos_class, mdl.neg_class)
+        rows = [i for i, label in enumerate(labels) if label in pair]
+        counts = evaluation.evaluate_pair(
+            mdl, [vectors[i] for i in rows], [labels[i] for i in rows]
+        )
+        scored.append((pair, counts, evaluation.metrics(counts)))
+    return scored
+
+
 def _require_pair_counts(samples, registry) -> None:
-    counts: dict[str, int] = {cls: 0 for cls in registry.classes}
-    for sample in samples:
-        if sample.label in counts:
-            counts[sample.label] += 1
-    for cls, k in counts.items():
-        if k < 2:
+    counts = collections.Counter(s.label for s in samples)
+    for cls in registry.classes:
+        if counts[cls] < 2:
             raise ValueError(
-                f"class {cls!r} has {k} sample(s) in the manifest; "
+                f"class {cls!r} has {counts[cls]} sample(s) in the manifest; "
                 "need at least 2"
             )
 
@@ -127,10 +143,10 @@ def cmd_synth(args) -> int:
     if args.templates is not None:
         tpl_dir = Path(args.templates)
         if not tpl_dir.is_dir():
-            raise ValueError(f"template directory not found: {tpl_dir}")
+            raise ValueError(f"template directory not found: {str(tpl_dir)!r}")
         files = sorted(tpl_dir.glob("*.pgm"))
         if not files:
-            raise ValueError(f"no .pgm templates in {tpl_dir}")
+            raise ValueError(f"no .pgm templates in {str(tpl_dir)!r}")
         templates = {}
         for path in files:
             gray = imaging.load_pgm(path.read_bytes())
@@ -160,12 +176,11 @@ def cmd_synth(args) -> int:
 def cmd_featurize(args) -> int:
     meta, _ = _resolve(args)
     samples = dataset.load_manifest(_require(args, "manifest"))
-    lines = []
-    for sample in samples:
-        vec = _glyph_vector(sample.image, meta.n, meta.m, meta.normalize)
-        lines.append(
-            sample.label + "," + ",".join(format(v, ".17g") for v in vec)
-        )
+    vectors, labels = _featurize_samples(samples, meta)
+    lines = [
+        label + "," + ",".join(format(v, ".17g") for v in vec)
+        for vec, label in zip(vectors, labels)
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -189,59 +204,43 @@ def _parse_sweep(
         raise UsageError(f"--sweep: {exc}") from None
 
 
-def _train_once(
-    train_samples, registry, meta: svm.ModelMeta, params: svm.KernelParams
-):
-    vectors, labels = _featurize_samples(
-        train_samples, meta.n, meta.m, meta.normalize
-    )
-    pm = svm.train_pairwise(
-        vectors, labels, params, meta.seed, pairs=registry.pairs, meta=meta
-    )
-    accuracies = []
-    for mdl in pm.models:
-        keep = [
-            (v, l)
-            for v, l in zip(vectors, labels)
-            if l in (mdl.pos_class, mdl.neg_class)
-        ]
-        counts = evaluation.evaluate_pair(
-            mdl, [v for v, _ in keep], [l for _, l in keep]
-        )
-        accuracies.append(evaluation.metrics(counts).accuracy)
-    return pm, accuracies
-
-
 def cmd_train(args) -> int:
     meta, params = _resolve(args)
     model_path = _require(args, "model")
     samples = dataset.load_manifest(_require(args, "manifest"))
     registry = dataset.load_registry(_require(args, "registry"))
-    keep = [s for s in samples if s.label in set(registry.classes)]
+    classes = set(registry.classes)
+    keep = [s for s in samples if s.label in classes]
     _require_pair_counts(keep, registry)
     train_samples, _ = dataset.split_even(keep, meta.seed)
+    # Featurized once: every sweep candidate trains and scores these rows.
+    vectors, labels = _featurize_samples(train_samples, meta)
 
-    if args.sweep:
-        name, candidates = _parse_sweep(args.sweep, params)
-        best = None
-        for candidate in candidates:
-            value = getattr(candidate, name)
-            pm, accs = _train_once(train_samples, registry, meta, candidate)
-            mean = sum(accs) / len(accs)
+    name, candidates = (
+        _parse_sweep(args.sweep, params) if args.sweep else (None, [params])
+    )
+    best = None
+    for candidate in candidates:
+        pm = svm.train_pairwise(
+            vectors, labels, candidate, meta.seed, pairs=registry.pairs, meta=meta
+        )
+        scored = _score_pairs(pm, vectors, labels)
+        mean = sum(metrics.accuracy for _, _, metrics in scored) / len(scored)
+        if name is not None:
             print(
-                f"sweep {name}={value:g}: mean train accuracy "
-                f"{evaluation.format_percent(mean)}%"
+                f"sweep {name}={getattr(candidate, name):g}: mean train "
+                f"accuracy {evaluation.format_percent(mean)}%"
             )
-            if best is None or mean > best[0]:
-                best = (mean, value, pm)
-        _, chosen, pm = best
-        print(f"selected {name}={chosen:g}")
+        if best is None or mean > best[0]:
+            best = (mean, candidate, pm, scored)
+    _, chosen, pm, scored = best
+    if name is not None:
+        print(f"selected {name}={getattr(chosen, name):g}")
     else:
-        pm, accs = _train_once(train_samples, registry, meta, params)
-        for mdl, acc in zip(pm.models, accs):
+        for (pos, neg), _, pair_metrics in scored:
             print(
-                f"pair {mdl.pos_class}/{mdl.neg_class}: train accuracy "
-                f"{evaluation.format_percent(acc)}%"
+                f"pair {pos}/{neg}: train accuracy "
+                f"{evaluation.format_percent(pair_metrics.accuracy)}%"
             )
 
     Path(model_path).write_bytes(svm.save_model(pm))
@@ -253,26 +252,17 @@ def cmd_evaluate(args) -> int:
     pm = svm.load_model(Path(_require(args, "model")).read_bytes())
     meta = pm.meta
     samples = dataset.load_manifest(_require(args, "manifest"))
-    keep = [s for s in samples if s.label in set(pm.classes)]
+    classes = set(pm.classes)
+    keep = [s for s in samples if s.label in classes]
     _, test_samples = dataset.split_even(keep, meta.seed)
+    vectors, labels = _featurize_samples(test_samples, meta)
+    scored = _score_pairs(pm, vectors, labels)
 
-    table_rows = []
-    csv_rows = []
-    for mdl in pm.models:
-        subset = [
-            s for s in test_samples if s.label in (mdl.pos_class, mdl.neg_class)
-        ]
-        vectors, labels = _featurize_samples(
-            subset, meta.n, meta.m, meta.normalize
-        )
-        counts = evaluation.evaluate_pair(mdl, vectors, labels)
-        pair_metrics = evaluation.metrics(counts)
-        table_rows.append(((mdl.pos_class, mdl.neg_class), pair_metrics))
-        csv_rows.append(((mdl.pos_class, mdl.neg_class), counts, pair_metrics))
-
-    sys.stdout.write(evaluation.report_table(table_rows))
+    sys.stdout.write(
+        evaluation.report_table([(pair, metrics) for pair, _, metrics in scored])
+    )
     if args.csv:
-        Path(args.csv).write_text(evaluation.report_csv(csv_rows), encoding="utf-8")
+        Path(args.csv).write_text(evaluation.report_csv(scored), encoding="utf-8")
     return EXIT_OK
 
 
@@ -280,7 +270,7 @@ def cmd_predict(args) -> int:
     pm = svm.load_model(Path(_require(args, "model")).read_bytes())
     meta = pm.meta
     gray = imaging.load_pgm(Path(args.image).read_bytes())
-    vec = _glyph_vector(gray, meta.n, meta.m, meta.normalize)
+    vec = _glyph_vector(gray, meta)
     winner, votes = svm.predict_multiclass(pm, vec)
     print(f"predicted: {winner}")
     print("votes: " + " ".join(f"{cls}={votes[cls]}" for cls in pm.classes))

@@ -99,12 +99,7 @@ class PairRegistry:
 
     @property
     def classes(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for a, b in self.pairs:
-            for cls in (a, b):
-                if cls not in out:
-                    out.append(cls)
-        return tuple(out)
+        return tuple(dict.fromkeys(cls for pair in self.pairs for cls in pair))
 
 
 @dataclass(frozen=True)
@@ -138,12 +133,12 @@ def _read_csv(
     wrong header or no data rows.
     """
     if not path.is_file():
-        raise error(f"{what} not found: {path}")
+        raise error(f"{what} not found: {str(path)!r}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise error(f"{what} {path}: {exc}") from None
+        raise error(f"{what} {str(path)!r}: {exc}") from None
     if rows and [cell.strip() for cell in rows[0]] != header:
         raise error(f"{what} must start with a '{','.join(header)}' header")
     if len(rows) < 2:

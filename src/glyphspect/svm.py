@@ -14,6 +14,7 @@ predicts by majority vote.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -401,40 +402,23 @@ def train_pairwise(
     list restricts training to just those confusable pairs; the first class
     of each pair is bound to +1. Deterministic: `seed` reaches train_smo,
     which does not use it.
+
+    A malformed pair list is refused by the types built from it, each with
+    a ValueError: `TrainingSet` rejects a same-class pair (its rows hold
+    only one label) and `PairwiseModel` rejects a duplicate pair and an
+    empty list.
     """
     if len(features) != len(labels):
         raise ValueError("features and labels lengths differ")
-    observed: list[str] = []
-    for label in labels:
-        if label not in observed:
-            observed.append(label)
-
     if pairs is None:
-        if len(observed) < 2:
+        class_order = list(dict.fromkeys(labels))
+        if len(class_order) < 2:
             raise DegenerateTrainingError("fewer than 2 classes in training data")
-        pair_list = [
-            (observed[i], observed[j])
-            for i in range(len(observed))
-            for j in range(i + 1, len(observed))
-        ]
-        class_order = list(observed)
+        pair_list = list(itertools.combinations(class_order, 2))
     else:
         pair_list = [(str(a), str(b)) for a, b in pairs]
-        if not pair_list:
-            raise ValueError("empty pair list")
-        seen = set()
-        class_order = []
-        for a, b in pair_list:
-            if a == b:
-                raise ValueError(f"pair {a}/{b}: classes must differ")
-            key = frozenset((a, b))
-            if key in seen:
-                raise ValueError(f"duplicate pair {a}/{b}")
-            seen.add(key)
-            for cls in (a, b):
-                if cls not in class_order:
-                    class_order.append(cls)
-        present = set(observed)
+        class_order = list(dict.fromkeys(cls for pair in pair_list for cls in pair))
+        present = set(labels)
         for cls in class_order:
             if cls not in present:
                 raise DegenerateTrainingError(f"class {cls!r} has no samples")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from glyphspect import cli, svm
+from glyphspect import cli, dataset, evaluation, features, imaging, svm
 from glyphspect.svm import load_model
 
 
@@ -239,6 +239,73 @@ class TestTrainEvaluatePredict:
         assert "selected gamma=" in stdout
         assert model.is_file()
 
+    def test_sweep_featurizes_train_half_once(self, tmp_path, monkeypatch):
+        out = synth_corpus(tmp_path, count=4)
+        calls = []
+        extract = features.extract_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(features, "extract_features", counting)
+        code = run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"),
+             "--model", str(tmp_path / "m.json"), "--normalize-l2",
+             "--sweep", "gamma=0.5,2,10"]
+        )
+        assert code == 0
+        train_half, _ = dataset.split_even(
+            dataset.load_manifest(out / "manifest.csv"), 42
+        )
+        assert len(calls) == len(train_half)
+
+    def test_evaluate_class_in_two_pairs(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=6)
+        registry = tmp_path / "registry.csv"
+        registry.write_text("correct_class,error_class\nring,ring-gap\nring,cup\n")
+        model = tmp_path / "m.json"
+        csv_path = tmp_path / "report.csv"
+        assert run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(registry), "--model", str(model),
+             "--gamma", "2", "--normalize-l2"]
+        ) == 0
+        assert run(
+            ["evaluate", "--model", str(model),
+             "--manifest", str(out / "manifest.csv"), "--csv", str(csv_path)]
+        ) == 0
+
+        pm = load_model(model.read_bytes())
+        samples = dataset.load_manifest(out / "manifest.csv")
+        _, test = dataset.split_even(
+            [s for s in samples if s.label in pm.classes], pm.meta.seed
+        )
+        rows = csv_path.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row, (pos, neg) in zip(rows, [("ring", "ring-gap"), ("ring", "cup")]):
+            subset = [s for s in test if s.label in (pos, neg)]
+            vectors = [
+                features.extract_features(
+                    imaging.resize_to_square(
+                        imaging.crop_to_bbox(imaging.binarize_otsu(s.image)[0]),
+                        pm.meta.n,
+                    ),
+                    pm.meta.m,
+                    normalize=pm.meta.normalize,
+                ).values
+                for s in subset
+            ]
+            counts = evaluation.evaluate_pair(
+                pm.pair_model(pos, neg), vectors, [s.label for s in subset]
+            )
+            assert sum(int(v) for v in row.split(",")[2:6]) == len(subset)
+            expected = evaluation.report_csv(
+                [((pos, neg), counts, evaluation.metrics(counts))]
+            )
+            assert row == expected.splitlines()[1]
+
     def test_bad_sweep_spec_is_usage_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         code = run(
@@ -334,6 +401,27 @@ class TestTrainEvaluatePredict:
         assert err.startswith("error: train: class 'ri\\nng' has 0 sample(s)")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, code",
+        [("--manifest", 2), ("--registry", 2), ("--templates", 2), ("--config", 1)],
+    )
+    def test_newline_in_path_is_one_line_error(self, tmp_path, capsys, flag, code):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        bad = str(tmp_path / "no\nsuch")
+        manifest = str(out / "manifest.csv")
+        argv = {
+            "--manifest": ["featurize", "--manifest", bad],
+            "--registry": ["train", "--manifest", manifest, "--registry", bad,
+                           "--model", str(tmp_path / "m")],
+            "--templates": ["synth", "--out", str(tmp_path / "o"), "--templates", bad],
+            "--config": ["featurize", "--manifest", manifest, "--config", bad],
+        }[flag]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[0]}:") and err.count("\n") == 1
+        assert repr(bad) in err
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = run(
             ["train", "--manifest", str(tmp_path / "none.csv"),
@@ -377,11 +465,16 @@ class TestConfigFile:
         )
         assert code == 1
 
-    def test_config_value_of_wrong_kind_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "doc",
+        [{"n": [16]}, {"normalize_l2": "false"}, {"n": 16.9}, {"n": True}],
+        ids=["list", "string-for-bool", "float-for-int", "bool-for-int"],
+    )
+    def test_config_value_of_wrong_kind_is_usage_error(self, tmp_path, capsys, doc):
         out = synth_corpus(tmp_path, count=2)
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": [16]}))
+        cfg.write_text(json.dumps(doc))
         code = run(
             ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
         )

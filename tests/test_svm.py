@@ -396,6 +396,17 @@ class TestTrainPairwise:
                 pairs=[("a", "z")],
             )
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[("a", "a")], [("a", "b"), ("b", "a")], []],
+        ids=["same-class", "duplicate", "empty"],
+    )
+    def test_malformed_pair_list_is_refused(self, pairs):
+        xs = [(0.0,), (0.1,), (1.0,), (1.1,)]
+        labels = ["a", "a", "b", "b"]
+        with pytest.raises(ValueError):
+            train_pairwise(xs, labels, KernelParams(gamma=1.0), 0, pairs=pairs)
+
     def test_multiclass_prediction_votes(self):
         rng = random.Random(62)
         xs, labels = four_class_samples(rng)
