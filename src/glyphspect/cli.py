@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config_file(args) -> None:
     """Fill unset flags from a JSON config file; explicit flags win."""
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return
     path = Path(args.config)
     if not path.is_file():
@@ -127,6 +127,13 @@ def _score_pairs(pm: svm.PairwiseModel, vectors, labels):
     return scored
 
 
+def _halves(samples, classes, seed: int):
+    """The (train, test) split of the samples labeled with `classes`: the
+    one partition rule, so `evaluate` scores exactly what `train` held out."""
+    classes = set(classes)
+    return dataset.split_even([s for s in samples if s.label in classes], seed)
+
+
 def _require_pair_counts(samples, registry) -> None:
     counts = collections.Counter(s.label for s in samples)
     for cls in registry.classes:
@@ -157,13 +164,16 @@ def cmd_synth(args) -> int:
         templates = dataset.builtin_templates()
         registry = dataset.builtin_registry()
 
-    params = dataset.SynthParams(
-        flips=args.flips,
-        max_shift=args.max_shift,
-        scale_jitter=args.scale_jitter,
-        count=args.count,
-        seed=meta.seed,
-    )
+    try:
+        params = dataset.SynthParams(
+            flips=args.flips,
+            max_shift=args.max_shift,
+            scale_jitter=args.scale_jitter,
+            count=args.count,
+            seed=meta.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     samples = dataset.synth_generate(templates, params, meta.n)
     manifest = dataset.write_corpus(samples, out_dir)
     if registry is not None:
@@ -209,10 +219,8 @@ def cmd_train(args) -> int:
     model_path = _require(args, "model")
     samples = dataset.load_manifest(_require(args, "manifest"))
     registry = dataset.load_registry(_require(args, "registry"))
-    classes = set(registry.classes)
-    keep = [s for s in samples if s.label in classes]
-    _require_pair_counts(keep, registry)
-    train_samples, _ = dataset.split_even(keep, meta.seed)
+    _require_pair_counts(samples, registry)
+    train_samples, _ = _halves(samples, registry.classes, meta.seed)
     # Featurized once: every sweep candidate trains and scores these rows.
     vectors, labels = _featurize_samples(train_samples, meta)
 
@@ -252,9 +260,7 @@ def cmd_evaluate(args) -> int:
     pm = svm.load_model(Path(_require(args, "model")).read_bytes())
     meta = pm.meta
     samples = dataset.load_manifest(_require(args, "manifest"))
-    classes = set(pm.classes)
-    keep = [s for s in samples if s.label in classes]
-    _, test_samples = dataset.split_even(keep, meta.seed)
+    _, test_samples = _halves(samples, pm.classes, meta.seed)
     vectors, labels = _featurize_samples(test_samples, meta)
     scored = _score_pairs(pm, vectors, labels)
 
@@ -305,10 +311,6 @@ def _add_pipeline_flags(parser, with_training=False):
     parser.add_argument(
         "--normalize-l2", action="store_true", default=None,
         help="L2-normalize feature vectors (default: off)",
-    )
-    parser.add_argument(
-        "--config", default=None,
-        help="optional JSON config file; explicit flags win (default: none)",
     )
 
 
@@ -385,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--csv", default=None, help="also write counts+metrics CSV here (default: off)"
     )
-    p_eval.add_argument(
-        "--config", default=None,
-        help="optional JSON config file; explicit flags win (default: none)",
-    )
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_pred = sub.add_parser(
@@ -396,11 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument("--model", default=None, help="trained model file (required)")
     p_pred.add_argument("image", help="PGM glyph image to classify")
-    p_pred.add_argument(
-        "--config", default=None,
-        help="optional JSON config file; explicit flags win (default: none)",
-    )
     p_pred.set_defaults(func=cmd_predict)
+
+    for p_sub in sub.choices.values():
+        p_sub.add_argument(
+            "--config", default=None,
+            help="optional JSON config file; explicit flags win (default: none)",
+        )
 
     return parser
 

@@ -146,6 +146,14 @@ def _read_csv(
     return rows[1:]
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write `header` and then `rows` as UTF-8 CSV with LF line ends."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_manifest(path) -> list[GlyphSample]:
     """Read a 'path,label' CSV manifest; image paths resolve relative to it.
 
@@ -187,11 +195,7 @@ def load_registry(path) -> PairRegistry:
 
 
 def write_registry(registry: PairRegistry, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["correct_class", "error_class"])
-        writer.writerows(registry.pairs)
+    _write_csv(Path(path), ["correct_class", "error_class"], registry.pairs)
 
 
 def split_even(
@@ -309,10 +313,7 @@ def write_corpus(samples: Sequence[GlyphSample], out_dir) -> Path:
         (out_dir / name).write_bytes(write_pgm(image))
         rows.append((name, sample.label))
     manifest = out_dir / "manifest.csv"
-    with manifest.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "label"])
-        writer.writerows(rows)
+    _write_csv(manifest, ["path", "label"], rows)
     return manifest
 
 
@@ -320,7 +321,7 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", label) or "glyph"
 
 
-def builtin_templates(size: int = 28) -> dict[str, BinaryImage]:
+def builtin_templates() -> dict[str, BinaryImage]:
     """Bundled stand-in glyphs: two visually close pairs.
 
     'ring' vs 'ring-gap' differ by a missing arc on the right; 'cup' vs
@@ -330,8 +331,7 @@ def builtin_templates(size: int = 28) -> dict[str, BinaryImage]:
     mirror glyphs are indistinguishable to this feature.) Drawn close to
     the usual 32-pixel raster so resampling barely amplifies pixel noise.
     """
-    if size < 8:
-        raise ValueError("template size must be at least 8")
+    size = 28
     center = (size - 1) / 2.0
     r_out = 0.48 * size
     r_in = r_out - max(2.5, 0.16 * size)

@@ -208,9 +208,9 @@ def write_pgm(img: GrayImage) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-def binary_to_gray(img: BinaryImage, ink: int = 0, background: int = 255) -> GrayImage:
-    """Render a binary mask as grayscale (dark ink on light ground by default)."""
-    return GrayImage(img.width, img.height, np.where(img.pixels, ink, background))
+def binary_to_gray(img: BinaryImage) -> GrayImage:
+    """Render a binary mask as grayscale: ink 0 on background 255."""
+    return GrayImage(img.width, img.height, np.where(img.pixels, 0, 255))
 
 
 def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -72,27 +72,25 @@ def default_gamma(dim: int) -> float:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """RBF width, box constraint, and SMO stopping tolerance."""
+    """RBF width and box constraint, each positive and finite: the one home
+    of that rule, which SvmModel and rbf_kernel reuse. `kkt_tol`, the SMO
+    stopping tolerance, is a constant."""
 
     gamma: float
     c: float = 10.0
-    kkt_tol: float = 1e-3
+    kkt_tol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
-        if self.kkt_tol <= 0.0:
-            raise ValueError("kkt_tol must be positive")
+        for name in ("gamma", "c"):
+            if not 0.0 < getattr(self, name) < math.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def rbf_kernel(x: Sequence[float], y: Sequence[float], gamma: float) -> float:
     """exp(-gamma * ||x - y||^2); equals 1 at zero distance."""
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    KernelParams(gamma)
     d2 = 0.0
     for a, b in zip(x, y):
         diff = a - b
@@ -167,8 +165,7 @@ class SvmModel:
             raise ValueError("support vectors, labels, and alphas must align")
         if self.dim < 1:
             raise ValueError("feature dimension must be positive")
-        if self.gamma <= 0.0 or self.c <= 0.0:
-            raise ValueError("gamma and c must be positive")
+        KernelParams(self.gamma, self.c)
         if self.pos_class == self.neg_class:
             raise ValueError("pos_class and neg_class must differ")
         if not math.isfinite(self.bias):
@@ -218,8 +215,6 @@ def train_smo(
     deterministic. With `debug` the dual objective is recomputed around
     every step and asserted non-decreasing.
     """
-    if pos_class == neg_class:
-        raise ValueError("pos_class and neg_class must differ")
     x = np.array(data.x)
     y = np.array(data.y, dtype=float)
     m = len(y)
@@ -344,8 +339,6 @@ class PairwiseModel:
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.models:
             raise ValueError("pairwise model needs at least one pair machine")
-        if not self.classes:
-            raise ValueError("pairwise model needs at least one class")
         if not all(self.classes):
             raise ValueError("class names must be non-empty")
         if len(set(self.classes)) != len(self.classes):
@@ -373,10 +366,6 @@ class PairwiseModel:
                 raise ValueError("pair machines disagree on feature dimension")
             if mdl.gamma != first.gamma or mdl.c != first.c:
                 raise ValueError("pair machines disagree on kernel parameters")
-
-    @property
-    def dim(self) -> int:
-        return self.models[0].dim
 
     def pair_model(self, a: str, b: str) -> SvmModel:
         """Look up the machine for an unordered class pair."""
@@ -424,7 +413,7 @@ def train_pairwise(
                 raise DegenerateTrainingError(f"class {cls!r} has no samples")
 
     models = []
-    for idx, (pos, neg) in enumerate(pair_list):
+    for pos, neg in pair_list:
         xs = []
         ys = []
         for row, label in zip(features, labels):
@@ -436,7 +425,7 @@ def train_pairwise(
                 ys.append(-1)
         data = TrainingSet(tuple(xs), tuple(ys))
         models.append(
-            train_smo(data, params, seed + idx, pos_class=pos, neg_class=neg)
+            train_smo(data, params, seed, pos_class=pos, neg_class=neg)
         )
     return PairwiseModel(tuple(models), tuple(class_order), meta)
 
@@ -445,8 +434,6 @@ def predict_multiclass(
     pm: PairwiseModel, x: Sequence[float]
 ) -> tuple[str, dict[str, int]]:
     """Majority vote over pair machines; ties go to the earliest class."""
-    if len(x) != pm.dim:
-        raise ValueError(f"dimension mismatch: expected {pm.dim}, got {len(x)}")
     votes = {cls: 0 for cls in pm.classes}
     for mdl in pm.models:
         votes[predict_pair(mdl, x)] += 1

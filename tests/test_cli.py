@@ -93,6 +93,19 @@ class TestSynth:
         assert code == 3
         assert "error: synth:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--count", "0"], ["--flips", "2"], ["--max-shift", "-1"],
+         ["--scale-jitter", "0.9"]],
+        ids=["count", "flips", "max-shift", "scale-jitter"],
+    )
+    def test_out_of_range_perturbation_is_usage_error(self, tmp_path, capsys, flags):
+        code = run(["synth", "--out", str(tmp_path / "o"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: synth:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestFeaturize:
     def test_line_format(self, tmp_path, capsys):
@@ -315,6 +328,28 @@ class TestTrainEvaluatePredict:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "extra", [["--sweep", "gamma=1,inf"], {"gamma": float("nan")}],
+        ids=["sweep-inf", "config-nan"],
+    )
+    def test_non_finite_kernel_value_is_usage_error(self, tmp_path, capsys, extra):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        if isinstance(extra, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(extra))  # writes the NaN literal
+            extra = ["--config", str(cfg)]
+        model = tmp_path / "m.json"
+        code = run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"), "--model", str(model), *extra]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train:") and err.count("\n") == 1
+        assert "must be positive and finite" in err
+        assert not model.exists()
+
     def test_predict_empty_glyph(self, tmp_path, capsys):
         out = synth_corpus(tmp_path)
         model = tmp_path / "model.json"
@@ -338,7 +373,8 @@ class TestTrainEvaluatePredict:
         assert code == 2
 
     @pytest.mark.parametrize("flags", [["--m", "0"], ["--n", "0"], ["--gamma", "0"],
-                                       ["--c", "-1"]])
+                                       ["--c", "-1"], ["--gamma", "nan"],
+                                       ["--gamma", "inf"], ["--c", "inf"]])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
         code = run(
             ["train", "--manifest", str(tmp_path / "none.csv"),

@@ -195,6 +195,16 @@ class TestTrainSmo:
                 0,
             )
 
+    def test_same_class_names_rejected(self):
+        with pytest.raises(ValueError, match="must differ"):
+            train_smo(
+                TrainingSet(((0.0,), (1.0,)), (-1, 1)),
+                KernelParams(gamma=1.0),
+                0,
+                pos_class="a",
+                neg_class="a",
+            )
+
     def test_deterministic_given_seed(self):
         data = TrainingSet(
             ((0.0, 0.1), (0.9, 1.0), (0.1, 0.0), (1.0, 0.9)), (-1, 1, -1, 1)
@@ -277,6 +287,21 @@ class TestPredictPair:
         )
         assert decision(model, (0.0,)) == 0.0
         assert predict_pair(model, (0.0,)) == "a"
+
+
+class TestKernelParams:
+    def test_kkt_tol_is_a_constant(self):
+        assert KernelParams(1.0).kkt_tol == 1e-3
+        with pytest.raises(TypeError):
+            KernelParams(1.0, 10.0, 1e-4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["gamma", "c"])
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            KernelParams(**{"gamma": 1.0, name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            stub_model("a", "b", +1, **{name: bad})
 
 
 class TestSvmModelValidation:
@@ -423,6 +448,11 @@ class TestTrainPairwise:
         for probe in ((-0.2,), (0.4,), (1.3,)):
             winner, _ = predict_multiclass(pm, probe)
             assert winner == predict_pair(pm.models[0], probe)
+
+    def test_multiclass_dimension_mismatch(self):
+        pm = PairwiseModel((stub_model("a", "b", +1, dim=2),), ("a", "b"))
+        with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 1"):
+            predict_multiclass(pm, (0.0,))
 
     def test_vote_cycle_breaks_by_class_order(self):
         # a beats b, b beats c, c beats a: one vote each
