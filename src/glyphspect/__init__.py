@@ -34,11 +34,11 @@ from .svm import (
     KernelParams,
     ModelFormatError,
     ModelMeta,
+    PairRegistry,
     PairwiseModel,
     SvmModel,
     TrainingSet,
     decision,
-    default_gamma,
     load_model,
     predict_multiclass,
     predict_pair,
@@ -50,7 +50,6 @@ from .svm import (
 from .dataset import (
     GlyphSample,
     ManifestError,
-    PairRegistry,
     RegistryError,
     SynthParams,
     SynthesisError,

@@ -92,7 +92,7 @@ def _resolve(args) -> tuple[svm.ModelMeta, svm.KernelParams]:
     c = getattr(args, "c", None)
     try:
         meta = svm.ModelMeta(n=n, m=m, seed=seed, normalize=bool(args.normalize_l2))
-        gamma = svm.default_gamma(2 * m) if gamma is None else float(gamma)
+        gamma = 1.0 / (2 * m) if gamma is None else float(gamma)
         return meta, svm.KernelParams(gamma=gamma, c=10.0 if c is None else float(c))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -128,20 +128,18 @@ def _score_pairs(pm: svm.PairwiseModel, vectors, labels):
 
 
 def _halves(samples, classes, seed: int):
-    """The (train, test) split of the samples labeled with `classes`: the
-    one partition rule, so `evaluate` scores exactly what `train` held out."""
-    classes = set(classes)
-    return dataset.split_even([s for s in samples if s.label in classes], seed)
-
-
-def _require_pair_counts(samples, registry) -> None:
+    """The (train, test) split of the samples labeled with `classes`, each
+    of which needs at least 2: the one partition rule, so `evaluate` scores
+    exactly what `train` held out."""
     counts = collections.Counter(s.label for s in samples)
-    for cls in registry.classes:
+    for cls in classes:
         if counts[cls] < 2:
             raise ValueError(
                 f"class {cls!r} has {counts[cls]} sample(s) in the manifest; "
                 "need at least 2"
             )
+    classes = set(classes)
+    return dataset.split_even([s for s in samples if s.label in classes], seed)
 
 
 def cmd_synth(args) -> int:
@@ -219,7 +217,6 @@ def cmd_train(args) -> int:
     model_path = _require(args, "model")
     samples = dataset.load_manifest(_require(args, "manifest"))
     registry = dataset.load_registry(_require(args, "registry"))
-    _require_pair_counts(samples, registry)
     train_samples, _ = _halves(samples, registry.classes, meta.seed)
     # Featurized once: every sweep candidate trains and scores these rows.
     vectors, labels = _featurize_samples(train_samples, meta)

@@ -28,10 +28,10 @@ from .imaging import (
     resize_to_square,
     write_pgm,
 )
+from .svm import PairRegistry
 
 __all__ = [
     "GlyphSample",
-    "PairRegistry",
     "SynthParams",
     "ManifestError",
     "RegistryError",
@@ -72,34 +72,6 @@ class GlyphSample:
     def __post_init__(self):
         if not self.label:
             raise ValueError("sample label must be non-empty")
-
-
-@dataclass(frozen=True)
-class PairRegistry:
-    """The confusable pairs to train: (correct_class, error_class) rows."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple((str(a), str(b)) for a, b in self.pairs)
-        )
-        if not self.pairs:
-            raise ValueError("registry has no pairs")
-        seen = set()
-        for a, b in self.pairs:
-            if not a or not b:
-                raise ValueError("registry class names must be non-empty")
-            if a == b:
-                raise ValueError(f"registry pair {a!r}/{b!r}: classes must differ")
-            key = frozenset((a, b))
-            if key in seen:
-                raise ValueError(f"duplicate registry pair {a!r}/{b!r}")
-            seen.add(key)
-
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(cls for pair in self.pairs for cls in pair))
 
 
 @dataclass(frozen=True)
@@ -191,7 +163,7 @@ def load_registry(path) -> PairRegistry:
     try:
         return PairRegistry(tuple(rows))
     except ValueError as exc:
-        raise RegistryError(str(exc)) from None
+        raise RegistryError(f"registry: {exc}") from None
 
 
 def write_registry(registry: PairRegistry, path) -> None:

@@ -78,20 +78,12 @@ def evaluate_pair(
     model: SvmModel,
     features: Sequence[Sequence[float]],
     labels: Sequence[str],
-    positive: str | None = None,
 ) -> ConfusionCounts:
-    """Score predictions against truth for one confusable pair.
-
-    `positive` defaults to the model's positive class; passing the other
-    class swaps the roles (and thereby sensitivity and specificity).
-    """
+    """Score predictions against truth for one confusable pair; the
+    model's pos_class is the positive ("correct") class."""
     if len(features) != len(labels):
         raise ValueError("features and labels lengths differ")
-    if positive is None:
-        positive = model.pos_class
-    if positive not in (model.pos_class, model.neg_class):
-        raise ValueError(f"{positive!r} is not a class of this model")
-    negative = model.neg_class if positive == model.pos_class else model.pos_class
+    positive, negative = model.pos_class, model.neg_class
 
     tp = fp = tn = fn = 0
     for row, truth in zip(features, labels):

@@ -77,9 +77,6 @@ class _Raster:
     def __hash__(self):
         return hash((self.width, self.height, self.pixels.tobytes()))
 
-    def at(self, row: int, col: int) -> int:
-        return int(self.pixels[row, col])
-
 
 class GrayImage(_Raster):
     """8-bit grayscale raster (top row first)."""

@@ -31,8 +31,8 @@ __all__ = [
     "TrainingSet",
     "SvmModel",
     "ModelMeta",
+    "PairRegistry",
     "PairwiseModel",
-    "default_gamma",
     "rbf_kernel",
     "train_smo",
     "decision",
@@ -61,13 +61,6 @@ class ConvergenceError(RuntimeError):
 
 class ModelFormatError(ValueError):
     """A serialized model violates the file schema or a stored invariant."""
-
-
-def default_gamma(dim: int) -> float:
-    """Scale-aware RBF width default: 1/d for d-dimensional features."""
-    if dim < 1:
-        raise ValueError("feature dimension must be positive")
-    return 1.0 / dim
 
 
 @dataclass(frozen=True)
@@ -327,8 +320,41 @@ class ModelMeta:
 
 
 @dataclass(frozen=True)
+class PairRegistry:
+    """The confusable pairs: (correct_class, error_class) rows, the first
+    bound to +1. The one home of the pair-list rules: at least one pair,
+    non-empty and distinct names, no unordered pair twice."""
+
+    pairs: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "pairs", tuple((str(a), str(b)) for a, b in self.pairs)
+        )
+        if not self.pairs:
+            raise ValueError("no pairs")
+        seen = set()
+        for a, b in self.pairs:
+            if not a or not b:
+                raise ValueError("class names must be non-empty")
+            if a == b:
+                raise ValueError(f"pair {a!r}/{b!r}: classes must differ")
+            key = frozenset((a, b))
+            if key in seen:
+                raise ValueError(f"duplicate pair {a!r}/{b!r}")
+            seen.add(key)
+
+    @property
+    def classes(self) -> tuple[str, ...]:
+        """Every class of a pair, in order of first appearance."""
+        return tuple(dict.fromkeys(cls for pair in self.pairs for cls in pair))
+
+
+@dataclass(frozen=True)
 class PairwiseModel:
-    """One binary machine per confusable class pair, voting for prediction."""
+    """One binary machine per confusable class pair, voting for prediction.
+    Its pairs obey PairRegistry's rules and `classes` lists exactly their
+    classes."""
 
     models: tuple[SvmModel, ...]
     classes: tuple[str, ...]
@@ -337,43 +363,20 @@ class PairwiseModel:
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "classes", tuple(self.classes))
-        if not self.models:
-            raise ValueError("pairwise model needs at least one pair machine")
-        if not all(self.classes):
-            raise ValueError("class names must be non-empty")
-        if len(set(self.classes)) != len(self.classes):
-            raise ValueError("duplicate class names")
-        if self.meta is not None and 2 * self.meta.m != self.models[0].dim:
+        registry = PairRegistry((m.pos_class, m.neg_class) for m in self.models)
+        if sorted(self.classes) != sorted(registry.classes):
+            raise ValueError("classes must list each class of the pairs once")
+        first = self.models[0]
+        if self.meta is not None and 2 * self.meta.m != first.dim:
             raise ValueError(
-                f"feature dimension {self.models[0].dim} differs from "
+                f"feature dimension {first.dim} differs from "
                 f"2m = {2 * self.meta.m} in the metadata"
             )
-        known = set(self.classes)
-        seen_pairs = set()
-        first = self.models[0]
         for mdl in self.models:
-            if mdl.pos_class not in known or mdl.neg_class not in known:
-                raise ValueError(
-                    f"pair {mdl.pos_class}/{mdl.neg_class} uses an unlisted class"
-                )
-            key = frozenset((mdl.pos_class, mdl.neg_class))
-            if key in seen_pairs:
-                raise ValueError(
-                    f"duplicate pair {mdl.pos_class}/{mdl.neg_class}"
-                )
-            seen_pairs.add(key)
             if mdl.dim != first.dim:
                 raise ValueError("pair machines disagree on feature dimension")
             if mdl.gamma != first.gamma or mdl.c != first.c:
                 raise ValueError("pair machines disagree on kernel parameters")
-
-    def pair_model(self, a: str, b: str) -> SvmModel:
-        """Look up the machine for an unordered class pair."""
-        want = frozenset((a, b))
-        for mdl in self.models:
-            if frozenset((mdl.pos_class, mdl.neg_class)) == want:
-                return mdl
-        raise KeyError(f"no model for pair {a}/{b}")
 
 
 def train_pairwise(
@@ -389,31 +392,25 @@ def train_pairwise(
     With `pairs=None` every unordered pair of observed classes gets a
     machine (classes ordered by first appearance). Passing an explicit pair
     list restricts training to just those confusable pairs; the first class
-    of each pair is bound to +1. Deterministic: `seed` reaches train_smo,
-    which does not use it.
-
-    A malformed pair list is refused by the types built from it, each with
-    a ValueError: `TrainingSet` rejects a same-class pair (its rows hold
-    only one label) and `PairwiseModel` rejects a duplicate pair and an
-    empty list.
+    of each pair is bound to +1. A pair list that breaks PairRegistry's
+    rules raises its ValueError before any machine is trained.
+    Deterministic: `seed` reaches train_smo, which does not use it.
     """
     if len(features) != len(labels):
         raise ValueError("features and labels lengths differ")
     if pairs is None:
-        class_order = list(dict.fromkeys(labels))
-        if len(class_order) < 2:
+        observed = dict.fromkeys(labels)
+        if len(observed) < 2:
             raise DegenerateTrainingError("fewer than 2 classes in training data")
-        pair_list = list(itertools.combinations(class_order, 2))
-    else:
-        pair_list = [(str(a), str(b)) for a, b in pairs]
-        class_order = list(dict.fromkeys(cls for pair in pair_list for cls in pair))
-        present = set(labels)
-        for cls in class_order:
-            if cls not in present:
-                raise DegenerateTrainingError(f"class {cls!r} has no samples")
+        pairs = itertools.combinations(observed, 2)
+    registry = PairRegistry(pairs)
+    present = set(labels)
+    for cls in registry.classes:
+        if cls not in present:
+            raise DegenerateTrainingError(f"class {cls!r} has no samples")
 
     models = []
-    for pos, neg in pair_list:
+    for pos, neg in registry.pairs:
         xs = []
         ys = []
         for row, label in zip(features, labels):
@@ -427,7 +424,7 @@ def train_pairwise(
         models.append(
             train_smo(data, params, seed, pos_class=pos, neg_class=neg)
         )
-    return PairwiseModel(tuple(models), tuple(class_order), meta)
+    return PairwiseModel(tuple(models), registry.classes, meta)
 
 
 def predict_multiclass(

@@ -236,6 +236,36 @@ class TestTrainEvaluatePredict:
         assert code == 2
         assert "'ghost'" in capsys.readouterr().err
 
+    def test_default_gamma_is_one_over_2m(self, tmp_path):
+        out = synth_corpus(tmp_path, count=2)
+        model = tmp_path / "m.json"
+        assert run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"),
+             "--model", str(model), "--m", "4"]
+        ) == 0
+        assert b'"gamma": 0.125' in model.read_bytes()
+
+    def test_evaluate_refuses_manifest_missing_a_model_class(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=4)
+        model = tmp_path / "m.json"
+        assert run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"),
+             "--model", str(model), "--gamma", "2"]
+        ) == 0
+        rows = (out / "manifest.csv").read_text().splitlines()
+        manifest = out / "no-cup.csv"
+        manifest.write_text(
+            "\n".join(r for r in rows if not r.endswith(",cup")) + "\n"
+        )
+        capsys.readouterr()
+        code = run(["evaluate", "--model", str(model), "--manifest", str(manifest)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'cup'" in captured.err
+
     def test_sweep_selects_and_reports(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
         model = tmp_path / "m.json"
@@ -310,9 +340,10 @@ class TestTrainEvaluatePredict:
                 ).values
                 for s in subset
             ]
-            counts = evaluation.evaluate_pair(
-                pm.pair_model(pos, neg), vectors, [s.label for s in subset]
-            )
+            [mdl] = [
+                mdl for mdl in pm.models if {mdl.pos_class, mdl.neg_class} == {pos, neg}
+            ]
+            counts = evaluation.evaluate_pair(mdl, vectors, [s.label for s in subset])
             assert sum(int(v) for v in row.split(",")[2:6]) == len(subset)
             expected = evaluation.report_csv(
                 [((pos, neg), counts, evaluation.metrics(counts))]

@@ -130,20 +130,6 @@ class TestEvaluatePair:
         with pytest.raises(ValueError, match="foreign label"):
             evaluate_pair(model, [(0.0,)], ["weird"])
 
-    def test_positive_must_belong_to_model(self):
-        model = threshold_model()
-        with pytest.raises(ValueError, match="not a class"):
-            evaluate_pair(model, [(0.0,)], ["good"], positive="weird")
-
-    def test_swapped_positive_swaps_roles(self):
-        model = threshold_model()
-        features = [(0.0,), (5.0,), (0.1,), (4.0,)]
-        labels = ["good", "good", "bad", "bad"]
-        direct = evaluate_pair(model, features, labels, positive="good")
-        flipped = evaluate_pair(model, features, labels, positive="bad")
-        assert (flipped.tp, flipped.fn) == (direct.tn, direct.fp)
-        assert (flipped.fp, flipped.tn) == (direct.fn, direct.tp)
-
     def test_counts_order_invariant(self):
         model = threshold_model()
         rows = [((0.0,), "good"), ((5.0,), "good"), ((0.1,), "bad"), ((4.0,), "bad")]

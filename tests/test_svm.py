@@ -17,7 +17,6 @@ from glyphspect.svm import (
     SvmModel,
     TrainingSet,
     decision,
-    default_gamma,
     load_model,
     predict_multiclass,
     predict_pair,
@@ -353,6 +352,23 @@ class TestPairwiseModelValidation:
         with pytest.raises(ValueError, match="non-empty"):
             PairwiseModel((stub_model("", "b", +1),), ("", "b"))
 
+    @pytest.mark.parametrize(
+        "pairs, classes",
+        [
+            ([], ("a", "b")),
+            ([("a", "b"), ("b", "a")], ("a", "b")),
+            ([("a", "b")], ("a", "b", "c")),
+            ([("a", "b"), ("c", "d")], ("a", "b", "c")),
+            ([("a", "b")], ("a", "b", "a")),
+        ],
+        ids=["no-machines", "duplicate-pair", "extra-class", "missing-class",
+             "duplicate-name"],
+    )
+    def test_pair_set_rules_are_enforced(self, pairs, classes):
+        models = tuple(stub_model(pos, neg, +1) for pos, neg in pairs)
+        with pytest.raises(ValueError):
+            PairwiseModel(models, classes)
+
 
 def four_class_samples(rng, per_class=4):
     centers = {"a": (0, 0), "b": (4, 0), "c": (0, 4), "d": (4, 4)}
@@ -390,7 +406,8 @@ class TestTrainPairwise:
         )
         assert len(pm.models) == 2
         assert pm.classes == ("a", "b", "c", "d")
-        assert pm.pair_model("b", "a").pos_class == "a"
+        [ab] = [mdl for mdl in pm.models if {mdl.pos_class, mdl.neg_class} == {"a", "b"}]
+        assert ab.pos_class == "a"
 
     def test_fewer_than_two_classes(self):
         with pytest.raises(DegenerateTrainingError):
@@ -431,6 +448,20 @@ class TestTrainPairwise:
         labels = ["a", "a", "b", "b"]
         with pytest.raises(ValueError):
             train_pairwise(xs, labels, KernelParams(gamma=1.0), 0, pairs=pairs)
+
+    def test_duplicate_pair_refused_before_training(self, monkeypatch):
+        calls = []
+        real = svm.train_smo
+        monkeypatch.setattr(
+            svm, "train_smo", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        xs = [(0.0,), (0.1,), (1.0,), (1.1,)]
+        labels = ["a", "a", "b", "b"]
+        with pytest.raises(ValueError, match="duplicate pair"):
+            train_pairwise(
+                xs, labels, KernelParams(gamma=1.0), 0, pairs=[("a", "b"), ("b", "a")]
+            )
+        assert calls == []
 
     def test_multiclass_prediction_votes(self):
         rng = random.Random(62)
@@ -549,6 +580,12 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="invalid model file"):
             load_model(b"\x00\x01garbage")
 
+    def test_duplicate_pair_rejected(self):
+        def duplicate(doc):
+            doc["pairs"][1] = dict(doc["pairs"][0])
+        with pytest.raises(ModelFormatError, match="duplicate pair"):
+            load_model(self._mutate(duplicate))
+
     def test_missing_field_rejected(self):
         data = self._mutate(lambda d: d.pop("gamma"))
         with pytest.raises(ModelFormatError, match="gamma"):
@@ -634,8 +671,3 @@ def test_load_model_raises_only_its_named_error(data):
         return
     assert load_model(save_model(pm)) == pm
 
-
-def test_default_gamma():
-    assert default_gamma(32) == 1.0 / 32.0
-    with pytest.raises(ValueError):
-        default_gamma(0)
