@@ -7,7 +7,6 @@ failing subcommand to standard error.
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import json
 import sys
@@ -128,16 +127,13 @@ def _score_pairs(pm: svm.PairwiseModel, vectors, labels):
 
 
 def _halves(samples, classes, seed: int):
-    """The (train, test) split of the samples labeled with `classes`, each
-    of which needs at least 2: the one partition rule, so `evaluate` scores
-    exactly what `train` held out."""
-    counts = collections.Counter(s.label for s in samples)
+    """The (train, test) split of the samples labeled with `classes`: the one
+    partition rule, so `evaluate` scores exactly what `train` held out.
+    Each class must occur; `split_even` refuses one with a single sample."""
+    present = {s.label for s in samples}
     for cls in classes:
-        if counts[cls] < 2:
-            raise ValueError(
-                f"class {cls!r} has {counts[cls]} sample(s) in the manifest; "
-                "need at least 2"
-            )
+        if cls not in present:
+            raise ValueError(f"class {cls!r} has 0 sample(s) in the manifest")
     classes = set(classes)
     return dataset.split_even([s for s in samples if s.label in classes], seed)
 

@@ -187,7 +187,7 @@ def split_even(
     for label, idxs in by_class.items():
         if len(idxs) < 2:
             raise ValueError(
-                f"class '{label}' has only {len(idxs)} sample(s); "
+                f"class {label!r} has only {len(idxs)} sample(s); "
                 "need at least 2 to split"
             )
 
@@ -267,7 +267,7 @@ def _perturb(
 
     if params.flips > 0.0:
         # one draw per pixel in row-major order; seeded corpora depend on it
-        draws = np.array([rng.random() for _ in range(canvas.size)])
+        draws = np.fromiter(iter(rng.random, None), float, count=canvas.size)
         canvas ^= (draws < params.flips).reshape(canvas.shape)
     return BinaryImage(canvas.shape[1], canvas.shape[0], canvas)
 

@@ -197,17 +197,25 @@ def load_pgm(data: bytes) -> GrayImage:
     return GrayImage(width, height, values.astype(np.uint8, copy=False))
 
 
+# Row 0 holds each intensity's digits and a space, row 1 its digits and a
+# newline, NUL-padded to 4 bytes; write_pgm gathers a raster's cells.
+_P2_CELLS = np.frombuffer(
+    b"".join(f"{v}{end}".encode().ljust(4, b"\0") for end in " \n" for v in range(256)),
+    dtype=np.uint8,
+).reshape(2, 256, 4)
+
+
 def write_pgm(img: GrayImage) -> bytes:
-    """Serialize as ASCII P2 with a maxval of 255, one raster row per line."""
-    lines = [b"P2", f"{img.width} {img.height}".encode(), b"255"]
-    for row in img.pixels.tolist():
-        lines.append(" ".join(map(str, row)).encode())
-    return b"\n".join(lines) + b"\n"
+    """Serialize as ASCII P2, maxval 255: a `P2\\n<w> <h>\\n255\\n` header, then
+    one line per raster row, its samples separated by single spaces."""
+    cells = _P2_CELLS[0].take(img.pixels, axis=0)  # (height, width, 4)
+    cells[:, -1] = _P2_CELLS[1].take(img.pixels[:, -1], axis=0)
+    return b"P2\n%d %d\n255\n" % (img.width, img.height) + cells[cells != 0].tobytes()
 
 
 def binary_to_gray(img: BinaryImage) -> GrayImage:
     """Render a binary mask as grayscale: ink 0 on background 255."""
-    return GrayImage(img.width, img.height, np.where(img.pixels, 0, 255))
+    return GrayImage(img.width, img.height, ~img.pixels * np.uint8(255))
 
 
 def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:

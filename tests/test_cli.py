@@ -266,6 +266,33 @@ class TestTrainEvaluatePredict:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "'cup'" in captured.err
 
+    def test_single_sample_class_is_refused_by_the_split(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=4)
+        model = tmp_path / "m.json"
+        assert run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"),
+             "--model", str(model), "--gamma", "2"]
+        ) == 0
+        rows = (out / "manifest.csv").read_text().splitlines()
+        cups = [r for r in rows if r.endswith(",cup")]
+        manifest = out / "one-cup.csv"
+        manifest.write_text(
+            "\n".join([r for r in rows if not r.endswith(",cup")] + cups[:1]) + "\n"
+        )
+        capsys.readouterr()
+        for argv in (
+            ["train", "--manifest", str(manifest), "--registry",
+             str(out / "registry.csv"), "--model", str(tmp_path / "m2.json")],
+            ["evaluate", "--model", str(model), "--manifest", str(manifest)],
+        ):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "class 'cup' has only 1 sample(s)" in captured.err
+        assert not (tmp_path / "m2.json").exists()
+
     def test_sweep_selects_and_reports(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
         model = tmp_path / "m.json"

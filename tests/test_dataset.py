@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -204,6 +205,37 @@ class TestSplitEven:
     def test_small_class_names_the_class(self):
         with pytest.raises(ValueError, match="'b'"):
             split_even(make_samples({"a": 4, "b": 1}), 0)
+
+    def test_small_class_message_is_one_line(self):
+        with pytest.raises(ValueError) as info:
+            split_even(make_samples({"a": 4, "b\nc": 1}), 0)
+        assert str(info.value).startswith("class 'b\\nc' has only 1 sample(s)")
+        assert "\n" not in str(info.value)
+
+
+# sha256 over manifest.csv and then each glyph file, in manifest order, of
+# write_corpus(synth_generate(builtin_templates(), params, n)), recorded
+# from a per-row P2 writer and one rng.random() call per pixel in a Python
+# loop. A change to the draw order or to a written byte changes them.
+_GOLDEN_CORPORA = [
+    (SynthParams(count=3, seed=42), 32,
+     "ec50f0cfc9d49caf0d03fe646db475dc9028cd57f5624986675d94718e82831d"),
+    (SynthParams(count=3, seed=42, flips=0.02, max_shift=2), 32,  # synth's defaults
+     "1c63fec632519e72522437b158dc5336f7bee9955044e4e26477a055e05ba836"),
+    (SynthParams(count=2, seed=11, flips=0.1, scale_jitter=0.3, max_shift=3), 96,
+     "d76d13081b12fc02fc0896fb85a4809e41b06bec69ab33e9fc58717e93cd7ab7"),
+]
+
+
+@pytest.mark.parametrize(
+    "params, n, digest", _GOLDEN_CORPORA, ids=["clean-32", "synth-defaults-32", "noisy-96"]
+)
+def test_synthesized_corpus_bytes_are_stable(tmp_path, params, n, digest):
+    manifest = write_corpus(synth_generate(builtin_templates(), params, n), tmp_path)
+    h = hashlib.sha256(manifest.read_bytes())
+    for row in manifest.read_text().splitlines()[1:]:
+        h.update((tmp_path / row.split(",")[0]).read_bytes())
+    assert h.hexdigest() == digest
 
 
 class TestSynthGenerate:

@@ -289,6 +289,35 @@ def test_load_pgm_raises_only_its_named_error(prefix, body):
     assert img.pixels.shape == (img.height, img.width)
 
 
+def write_pgm_oracle(img: GrayImage) -> bytes:
+    """Reference P2 writer: the header lines, then each row joined by spaces."""
+    lines = [b"P2", f"{img.width} {img.height}".encode(), b"255"]
+    for row in img.pixels.tolist():
+        lines.append(" ".join(map(str, row)).encode())
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    raster=st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        st.integers(1, 40).map(lambda w: (1, w)),
+        st.integers(1, 40).map(lambda h: (h, 1)),
+    ).flatmap(
+        lambda shape: st.binary(min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+        .map(lambda data: np.frombuffer(data, np.uint8).reshape(shape))
+    )
+)
+@example(raster=np.arange(256, dtype=np.uint8).reshape(16, 16))
+@example(raster=np.arange(256, dtype=np.uint8).reshape(1, 256))
+@example(raster=np.arange(256, dtype=np.uint8).reshape(256, 1))
+def test_write_pgm_matches_per_row_join(raster):
+    img = GrayImage(raster.shape[1], raster.shape[0], raster)
+    data = write_pgm(img)
+    assert data == write_pgm_oracle(img)
+    assert load_pgm(data) == img
+
+
 class TestBinarizeOtsu:
     def test_bimodal(self):
         img = GrayImage(2, 2, (0, 0, 255, 255))
