@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .svm import SvmModel, predict_pair
+from .svm import SvmModel, decisions
 
 __all__ = [
     "ConfusionCounts",
@@ -84,23 +85,15 @@ def evaluate_pair(
     if len(features) != len(labels):
         raise ValueError("features and labels lengths differ")
     positive, negative = model.pos_class, model.neg_class
-
-    tp = fp = tn = fn = 0
-    for row, truth in zip(features, labels):
-        if truth not in (positive, negative):
-            raise ValueError(f"foreign label '{truth}' in test set")
-        predicted = predict_pair(model, row)
-        if truth == positive:
-            if predicted == positive:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted == positive:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    # predict_pair's rule, positive on decision >= 0, on every row at once
+    tally = Counter(zip(labels, (decisions(model, features) >= 0.0).tolist()))
+    for label, _ in tally:
+        if label not in (positive, negative):
+            raise ValueError(f"foreign label '{label}' in test set")
+    return ConfusionCounts(
+        tp=tally[positive, True], fp=tally[negative, True],
+        tn=tally[negative, False], fn=tally[positive, False],
+    )
 
 
 def metrics(counts: ConfusionCounts) -> PairMetrics:

@@ -6,10 +6,12 @@ magnitudes of both axes are concatenated into the classifier feature
 vector. Magnitudes make the features invariant to cyclic shifts of the
 projection signals, so small in-frame translations of a glyph barely move
 its feature vector.
+
+`feature_rows` computes the vectors of an (N, n, n) stack of glyphs in one
+FFT; `extract_features` is its batch-of-one call.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +27,7 @@ __all__ = [
     "dft",
     "truncate_spectrum",
     "extract_features",
+    "feature_rows",
 ]
 
 
@@ -82,9 +85,8 @@ class FeatureVector:
             raise ValueError("m must be positive")
         if len(self.values) != 2 * self.m:
             raise ValueError(f"expected {2 * self.m} values, got {len(self.values)}")
-        for v in self.values:
-            if v < 0:
-                raise ValueError("feature magnitudes must be nonnegative")
+        if min(self.values) < 0:
+            raise ValueError("feature magnitudes must be nonnegative")
 
 
 def project(img: BinaryImage) -> ProjectionPair:
@@ -107,16 +109,37 @@ def dft(signal: Sequence[float]) -> Spectrum:
     return Spectrum(np.fft.fft(np.asarray(signal, dtype=np.float64)))
 
 
-def _magnitudes(coeffs: np.ndarray) -> tuple[float, ...]:
-    # |c| row by row by hypot, as abs(complex) does; np.abs can differ in the last bit
-    return tuple(np.hypot(coeffs.real, coeffs.imag).ravel().tolist())
+def _magnitudes(coeffs: np.ndarray) -> np.ndarray:
+    # |c| by hypot, as abs(complex) does; np.abs can differ in the last bit
+    return np.hypot(coeffs.real, coeffs.imag)
 
 
 def truncate_spectrum(spec: Spectrum, m: int) -> tuple[float, ...]:
     """Keep the magnitudes of the lowest m coefficients."""
     if not 1 <= m <= len(spec):
         raise ValueError(f"m must satisfy 1 <= m <= {len(spec)}, got {m}")
-    return _magnitudes(spec.coeffs[:m])
+    return tuple(_magnitudes(spec.coeffs[:m]).tolist())
+
+
+def feature_rows(masks: np.ndarray, m: int, normalize: bool = False) -> np.ndarray:
+    """The (N, 2m) feature rows of an (N, n, n) stack of binary glyphs (m <= n):
+    row i is extract_features of glyph i. An L2 norm sums its squares left to
+    right; np.sum's pairwise order would change the last bits."""
+    count, height, n = masks.shape
+    if height != n:
+        raise ValueError(f"projection requires a square image, got {n}x{height}")
+    if not 1 <= m <= n:
+        raise ValueError(f"m must satisfy 1 <= m <= {n}, got {m}")
+    signals = np.empty((count, 2, n))  # row sums, then column sums
+    masks.sum(axis=2, out=signals[:, 0])
+    masks.sum(axis=1, out=signals[:, 1])
+    rows = _magnitudes(np.fft.fft(signals)[:, :, :m]).reshape(count, 2 * m)
+    if normalize:
+        norms = np.sqrt(np.add.accumulate(np.square(rows), axis=1)[:, -1:])
+        # A glyph with ink has a norm of at least its ink count, the first
+        # magnitude; the clamp only keeps an inkless glyph's zeros.
+        rows /= np.maximum(norms, 1.0)
+    return rows
 
 
 def extract_features(
@@ -124,17 +147,9 @@ def extract_features(
 ) -> FeatureVector:
     """Build the 2m-value feature vector of an n-by-n glyph (m <= n).
 
-    Equals truncate_spectrum(dft(h), m) + truncate_spectrum(dft(v), m), in one FFT.
+    Equals truncate_spectrum(dft(h), m) + truncate_spectrum(dft(v), m).
     Optionally L2-normalizes the final vector; off by default since the
     fixed square resize already standardizes scale.
     """
-    pair = project(img)
-    if not 1 <= m <= pair.n:
-        raise ValueError(f"m must satisfy 1 <= m <= {pair.n}, got {m}")
-    coeffs = np.fft.fft(np.array((pair.h, pair.v), dtype=np.float64))
-    values = _magnitudes(coeffs[:, :m])
-    if normalize:
-        norm = math.sqrt(sum(v * v for v in values))
-        if norm > 0.0:
-            values = tuple(v / norm for v in values)
-    return FeatureVector(values, m)
+    row = feature_rows(img.pixels[None], m, normalize)[0]
+    return FeatureVector(tuple(row.tolist()), m)

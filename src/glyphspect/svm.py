@@ -36,6 +36,7 @@ __all__ = [
     "rbf_kernel",
     "train_smo",
     "decision",
+    "decisions",
     "predict_pair",
     "train_pairwise",
     "predict_multiclass",
@@ -49,6 +50,7 @@ _ZERO_ALPHA = 1e-8  # multipliers at or below this count as zero and are dropped
 _EQUALITY_TOL = 1e-6  # bound on |sum(alpha_i * y_i)| for stored models
 _ITERATIONS_PER_SAMPLE = 100  # SMO step budget per training sample, as LIBSVM
 _TAU = 1e-12  # curvature used in place of a non-positive one
+_DECISION_BLOCK = 64  # rows per kernel block; bounds the (rows, SVs, dim) array
 
 
 class DegenerateTrainingError(ValueError):
@@ -288,13 +290,36 @@ def train_smo(
     )
 
 
+def _kernel_sums(model: SvmModel, x: np.ndarray) -> np.ndarray:
+    """sum_i alpha_i * y_i * K(s_i, x) for each row of a (k, 1, dim) array,
+    as a (k, 1) array, in one kernel block."""
+    diff = model._sv - x
+    k = np.exp(-model.gamma * np.einsum("rsd,rsd->rs", diff, diff))
+    # a dot product per row, as a single row gets; gemv rounds differently
+    return k[:, None] @ model._coef
+
+
+def decisions(model: SvmModel, rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """decision() of every row, bit for bit, one kernel block per
+    _DECISION_BLOCK rows."""
+    x = np.asarray(rows, dtype=float)
+    if x.size and x.shape[1:] != (model.dim,):
+        raise ValueError(
+            f"dimension mismatch: expected {model.dim}, got {x.shape[-1]}"
+        )
+    sums = np.empty(len(x))
+    for start in range(0, len(x), _DECISION_BLOCK):
+        block = slice(start, start + _DECISION_BLOCK)
+        sums[block] = _kernel_sums(model, x[block, None])[:, 0]
+    return sums + model.bias
+
+
 def decision(model: SvmModel, x: Sequence[float]) -> float:
     """sum_i alpha_i * y_i * K(s_i, x) + bias."""
     if len(x) != model.dim:
         raise ValueError(f"dimension mismatch: expected {model.dim}, got {len(x)}")
-    diff = model._sv - np.asarray(x, dtype=float)
-    k = np.exp(-model.gamma * np.einsum("ij,ij->i", diff, diff))
-    return float(model._coef @ k + model.bias)
+    row = np.asarray(x, dtype=float).reshape(1, 1, -1)
+    return float(_kernel_sums(model, row)[0, 0] + model.bias)
 
 
 def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
@@ -432,6 +457,7 @@ def predict_multiclass(
 ) -> tuple[str, dict[str, int]]:
     """Majority vote over pair machines; ties go to the earliest class."""
     votes = {cls: 0 for cls in pm.classes}
+    x = np.asarray(x, dtype=float)  # once, not per machine
     for mdl in pm.models:
         votes[predict_pair(mdl, x)] += 1
     winner = pm.classes[0]

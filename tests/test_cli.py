@@ -129,6 +129,23 @@ class TestFeaturize:
         lines = dest.read_text().strip().splitlines()
         assert all(len(line.split(",")) == 9 for line in lines)
 
+    def test_blank_glyphs_name_the_first_in_manifest_order(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        capsys.readouterr()
+        # The 32x32 group is featurized first and holds the later blank row;
+        # a raster of zeros only is as blank as any other uniform one.
+        (out / "blank-small.pgm").write_bytes(b"P2 4 4 255\n" + b"0 " * 16)
+        (out / "blank-big.pgm").write_bytes(b"P5 32 32 255\n" + b"\xc8" * 1024)
+        rows = (out / "manifest.csv").read_text().splitlines()
+        rows[2:2] = ["blank-small.pgm,ring", "blank-big.pgm,cup"]
+        rows[3], rows[5] = rows[5], rows[3]  # a glyph between the two blanks
+        (out / "manifest.csv").write_text("\n".join(rows) + "\n")
+        code = run(["featurize", "--manifest", str(out / "manifest.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: featurize: 'blank-small.pgm': empty glyph\n"
+        assert captured.out == ""
+
 
 class TestTrainEvaluatePredict:
     def test_full_pipeline(self, tmp_path, capsys):
@@ -312,13 +329,13 @@ class TestTrainEvaluatePredict:
     def test_sweep_featurizes_train_half_once(self, tmp_path, monkeypatch):
         out = synth_corpus(tmp_path, count=4)
         calls = []
-        extract = features.extract_features
+        normalize = imaging.normalize_glyphs
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return extract(*args, **kwargs)
+        def counting(grays, n):
+            calls.extend([1] * len(grays))
+            return normalize(grays, n)
 
-        monkeypatch.setattr(features, "extract_features", counting)
+        monkeypatch.setattr(imaging, "normalize_glyphs", counting)
         code = run(
             ["train", "--manifest", str(out / "manifest.csv"),
              "--registry", str(out / "registry.csv"),
@@ -330,6 +347,30 @@ class TestTrainEvaluatePredict:
             dataset.load_manifest(out / "manifest.csv"), 42
         )
         assert len(calls) == len(train_half)
+
+    def test_train_names_first_blank_glyph_of_the_train_half(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=4)
+        capsys.readouterr()
+        (out / "small.pgm").write_bytes(b"P2 3 5 255\n" + b"0 " * 15)
+        (out / "big.pgm").write_bytes(b"P2 32 32 255\n" + b"9 " * 1024)
+        rows = (out / "manifest.csv").read_text().splitlines()
+        # every ring glyph blank, in two raster shapes
+        rows = [
+            ("small.pgm" if i % 2 else "big.pgm") + ",ring" if row.endswith(",ring")
+            else row
+            for i, row in enumerate(rows)
+        ]
+        (out / "manifest.csv").write_text("\n".join(rows) + "\n")
+        train_half, _ = dataset.split_even(
+            dataset.load_manifest(out / "manifest.csv"), 42
+        )
+        first = next(s.source_id for s in train_half if s.label == "ring")
+        code = run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"), "--model", str(tmp_path / "m")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: train: {first!r}: empty glyph\n"
 
     def test_evaluate_class_in_two_pairs(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=6)

@@ -2,9 +2,21 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glyphspect.imaging import BinaryImage
+from glyphspect import cli
+from glyphspect.dataset import GlyphSample
+from glyphspect.imaging import (
+    BinaryImage,
+    GrayImage,
+    binarize_otsu,
+    crop_to_bbox,
+    normalize_glyphs,
+    resize_to_square,
+)
+from glyphspect.svm import ModelMeta
 from glyphspect.features import (
     FeatureVector,
     ProjectionPair,
@@ -238,3 +250,54 @@ class TestFeatureVectorInvariants:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             FeatureVector((1.0, -0.5), 1)
+
+
+@st.composite
+def gray_manifests(draw):
+    """Gray rasters of mixed shapes, 1xN and Nx1 among them, more than one
+    featurize block of them; each holds at least 3 intensity levels."""
+    shapes = [(1, draw(st.integers(3, 12))), (draw(st.integers(3, 12)), 1)]
+    shapes += draw(st.lists(st.tuples(st.integers(2, 12), st.integers(2, 12)), max_size=3))
+    levels = draw(st.lists(st.integers(0, 255), min_size=3, max_size=6, unique=True))
+    order = draw(st.permutations(range(len(shapes))))
+    counts = [1 + draw(st.integers(0, 4)) for _ in shapes]
+    counts[order[0]] += cli._BLOCK  # one shape fills more than a block
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for k in rng.permutation(np.repeat(np.arange(len(shapes)), counts)):
+        height, width = shapes[k]
+        pixels = rng.choice(levels, size=height * width)
+        pixels[:3] = levels[:3]
+        rng.shuffle(pixels)
+        label = "abc"[len(samples) % 3]
+        gray = GrayImage(width, height, pixels)
+        samples.append(GlyphSample(gray, label, f"g{len(samples)}.pgm"))
+    return samples
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(gray_manifests(), st.integers(1, 12), st.data(), st.booleans())
+def test_batch_featurize_equals_per_glyph_bit_for_bit(samples, n, data, normalize):
+    m = data.draw(st.integers(1, n))
+    meta = ModelMeta(n=n, m=m, seed=0, normalize=normalize)
+    vectors, labels = cli._featurize_samples(samples, meta)
+    expected, thresholds = [], []
+    for sample in samples:
+        mask, t = binarize_otsu(sample.image)
+        square = resize_to_square(crop_to_bbox(mask), n)
+        expected.append(extract_features(square, m, normalize).values)
+        thresholds.append(t)
+    assert labels == [s.label for s in samples]
+    assert [[v.hex() for v in row] for row in vectors.tolist()] == [
+        [v.hex() for v in row] for row in expected
+    ]
+    by_shape = {}
+    for i, sample in enumerate(samples):
+        by_shape.setdefault(sample.image.pixels.shape, []).append(i)
+    for rows in by_shape.values():
+        stack = np.stack([samples[i].image.pixels for i in rows])
+        masks, got = normalize_glyphs(stack, n)
+        assert got == [thresholds[i] for i in rows]
+        for i, mask in zip(rows, masks):
+            square = resize_to_square(crop_to_bbox(binarize_otsu(samples[i].image)[0]), n)
+            assert np.array_equal(mask, square.pixels)

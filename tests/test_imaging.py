@@ -17,6 +17,7 @@ from glyphspect.imaging import (
     binary_to_gray,
     crop_to_bbox,
     load_pgm,
+    normalize_glyphs,
     resize_to_square,
     write_pgm,
 )
@@ -468,6 +469,20 @@ class TestResizeToSquare:
             for r in range(n):
                 for c in range(n):
                     assert int(out.pixels[r, c]) == int(img.pixels[r * h // n, c * w // n])
+
+
+class TestNormalizeGlyphs:
+    def test_names_the_first_inkless_raster(self):
+        stack = np.zeros((4, 3, 3), dtype=np.uint8)
+        stack[0, 1, 1] = stack[3, 0, 0] = 200  # rasters 1 and 2 are uniform
+        stack[2] = 9
+        with pytest.raises(EmptyGlyphError, match="^empty glyph$") as caught:
+            normalize_glyphs(stack, 4)
+        assert caught.value.index == 1
+
+    def test_empty_stack(self):
+        masks, thresholds = normalize_glyphs(np.zeros((0, 5, 2), dtype=np.uint8), 3)
+        assert masks.shape == (0, 3, 3) and thresholds == []
 
 
 def test_binary_to_gray_round_trip():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glyphspect import svm
+from glyphspect import evaluation, svm
 from glyphspect.svm import (
     ConvergenceError,
     DegenerateTrainingError,
@@ -671,3 +671,38 @@ def test_load_model_raises_only_its_named_error(data):
         return
     assert load_model(save_model(pm)) == pm
 
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 2 * svm._DECISION_BLOCK + 3),
+    support=st.integers(1, 40),
+    dim=st.integers(1, 8),
+)
+def test_batch_decision_equals_row_by_row(seed, rows, support, dim):
+    rng = np.random.default_rng(seed)
+    model = SvmModel(
+        support_x=rng.normal(size=(support, dim)).tolist(),
+        support_y=rng.choice([-1, 1], size=support).tolist(),
+        alpha=rng.uniform(0.01, 1.0, size=support).tolist(),
+        bias=float(rng.normal()),
+        gamma=float(rng.uniform(0.05, 2.0)),
+        dim=dim,
+        pos_class="p",
+        neg_class="q",
+        c=1.0,
+    )
+    x = rng.normal(size=(rows, dim))
+    batch = svm.decisions(model, x)
+    assert [v.hex() for v in batch.tolist()] == [
+        decision(model, row).hex() for row in x.tolist()
+    ]
+    labels = rng.choice(["p", "q"], size=rows).tolist()
+    tally = {(t, p): 0 for t in "pq" for p in "pq"}
+    for row, truth in zip(x.tolist(), labels):
+        tally[truth, predict_pair(model, row)] += 1
+    counts = evaluation.evaluate_pair(model, x, labels)
+    assert (counts.tp, counts.fn, counts.fp, counts.tn) == (
+        tally["p", "p"], tally["p", "q"], tally["q", "p"], tally["q", "q"]
+    )
