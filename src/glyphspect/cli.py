@@ -118,18 +118,18 @@ def _featurize_samples(samples, meta: svm.ModelMeta):
     for i, sample in enumerate(samples):
         groups.setdefault(sample.image.pixels.shape, []).append(i)
     vectors = np.empty((len(samples), 2 * meta.m))
-    empty = []
+    first_empty = len(samples)
     for ix in groups.values():
         for block in (ix[k : k + _BLOCK] for k in range(0, len(ix), _BLOCK)):
             grays = np.stack([samples[i].image.pixels for i in block])
             try:
                 masks, _ = imaging.normalize_glyphs(grays, meta.n)
             except imaging.EmptyGlyphError as exc:
-                empty.append(block[exc.index])
-                continue
+                first_empty = min(first_empty, block[exc.index])
+                break  # the rest of this shape comes later in the manifest
             vectors[block] = features.feature_rows(masks, meta.m, meta.normalize)
-    if empty:
-        raise ValueError(f"{samples[min(empty)].source_id!r}: empty glyph")
+    if first_empty < len(samples):
+        raise ValueError(f"{samples[first_empty].source_id!r}: empty glyph")
     return vectors, [s.label for s in samples]
 
 

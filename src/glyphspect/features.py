@@ -12,6 +12,7 @@ FFT; `extract_features` is its batch-of-one call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,8 +124,8 @@ def truncate_spectrum(spec: Spectrum, m: int) -> tuple[float, ...]:
 
 def feature_rows(masks: np.ndarray, m: int, normalize: bool = False) -> np.ndarray:
     """The (N, 2m) feature rows of an (N, n, n) stack of binary glyphs (m <= n):
-    row i is extract_features of glyph i. An L2 norm sums its squares left to
-    right; np.sum's pairwise order would change the last bits."""
+    row i is extract_features of glyph i. Each L2 norm is math.sqrt of the
+    builtin sum() of the squares, whose rounding differs from numpy's sums."""
     count, height, n = masks.shape
     if height != n:
         raise ValueError(f"projection requires a square image, got {n}x{height}")
@@ -134,11 +135,8 @@ def feature_rows(masks: np.ndarray, m: int, normalize: bool = False) -> np.ndarr
     masks.sum(axis=2, out=signals[:, 0])
     masks.sum(axis=1, out=signals[:, 1])
     rows = _magnitudes(np.fft.fft(signals)[:, :, :m]).reshape(count, 2 * m)
-    if normalize:
-        norms = np.sqrt(np.add.accumulate(np.square(rows), axis=1)[:, -1:])
-        # A glyph with ink has a norm of at least its ink count, the first
-        # magnitude; the clamp only keeps an inkless glyph's zeros.
-        rows /= np.maximum(norms, 1.0)
+    if normalize:  # an inkless glyph's zero norm leaves its zeros as they are
+        rows /= [[math.sqrt(sum(sq)) or 1.0] for sq in np.square(rows).tolist()]
     return rows
 
 

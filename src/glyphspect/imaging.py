@@ -2,12 +2,12 @@
 
 Each image holds one read-only 2-D numpy array (uint8 intensities for
 grayscale, bool for a mask), so every operation is a whole-array step and
-no code loops over pixels in Python. The threshold, bounding-box and
-nearest-index rules each take an (N, h, w) stack: `normalize_glyphs` runs
-them on many equal-shape rasters at once, and the one-image functions call
-the same rules. Otsu's threshold is still chosen in exact integer
-arithmetic. All operations are pure and the image types are immutable,
-which keeps the whole pipeline deterministic.
+no code loops over pixels in Python. `normalize_glyphs` thresholds, crops
+and resizes an (N, h, w) stack of equal-shape rasters at once, with the
+same Otsu scan and ink bounding-box helpers the one-image functions call.
+Otsu's threshold is still chosen in exact integer arithmetic, on each
+image's own histogram. All operations are pure and the image types are
+immutable, which keeps the whole pipeline deterministic.
 """
 from __future__ import annotations
 
@@ -227,40 +227,37 @@ def binary_to_gray(img: BinaryImage) -> GrayImage:
     return GrayImage(img.width, img.height, ~img.pixels * np.uint8(255))
 
 
-def _otsu_cuts(grays) -> list[int]:
-    """The Otsu threshold of each image of an (N, h, w) stack or list, on its
-    own histogram; -1 for a uniform image, so that no pixel is ink."""
-    cuts = []
-    for pixels in grays:
-        hist = np.bincount(pixels.ravel(), minlength=256)
-        levels = np.flatnonzero(hist)
-        counts = hist[levels]
-        total = pixels.size
-        total_sum = int(levels @ counts)
+def _otsu_cut(pixels: np.ndarray) -> int:
+    """The Otsu threshold of one intensity array; -1 for a uniform one, so
+    that no pixel is ink."""
+    hist = np.bincount(pixels.ravel(), minlength=256)
+    levels = np.flatnonzero(hist)
+    counts = hist[levels]
+    total = pixels.size
+    total_sum = int(levels @ counts)
 
-        # Between-class variance at t is proportional to
-        # (s0*n1 - s1*n0)^2 / (n0*n1); compare fractions by cross-multiplying,
-        # in Python ints because the squared term overflows int64 on images
-        # past ~83x83. Between two occupied levels n0 and s0 do not change, so
-        # scanning only occupied levels with a strict comparison keeps the
-        # smallest maximizing threshold. Every t below the lowest level scores
-        # 0 and the lowest scores more unless it is the only level, so the
-        # running best starts at t = -1, which only a uniform image keeps.
-        best_t, best_num, best_den = -1, 0, 1
-        n0 = 0
-        s0 = 0
-        for t, k in zip(levels.tolist(), counts.tolist()):
-            n0 += k
-            s0 += t * k
-            n1 = total - n0
-            if n1 == 0:
-                break
-            num = (s0 * n1 - (total_sum - s0) * n0) ** 2
-            den = n0 * n1
-            if num * best_den > best_num * den:
-                best_t, best_num, best_den = t, num, den
-        cuts.append(best_t)
-    return cuts
+    # Between-class variance at t is proportional to
+    # (s0*n1 - s1*n0)^2 / (n0*n1); compare fractions by cross-multiplying,
+    # in Python ints because the squared term overflows int64 on images
+    # past ~83x83. Between two occupied levels n0 and s0 do not change, so
+    # scanning only occupied levels with a strict comparison keeps the
+    # smallest maximizing threshold. Every t below the lowest level scores
+    # 0 and the lowest scores more unless it is the only level, so the
+    # running best starts at t = -1, which only a uniform image keeps.
+    best_t, best_num, best_den = -1, 0, 1
+    n0 = 0
+    s0 = 0
+    for t, k in zip(levels.tolist(), counts.tolist()):
+        n0 += k
+        s0 += t * k
+        n1 = total - n0
+        if n1 == 0:
+            break
+        num = (s0 * n1 - (total_sum - s0) * n0) ** 2
+        den = n0 * n1
+        if num * best_den > best_num * den:
+            best_t, best_num, best_den = t, num, den
+    return best_t
 
 
 def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
@@ -272,7 +269,7 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
     distinguishable glyph content: it maps to an all-background mask with
     threshold 0.
     """
-    [cut] = _otsu_cuts([img.pixels])
+    cut = _otsu_cut(img.pixels)
     return BinaryImage(img.width, img.height, img.pixels <= cut), max(cut, 0)
 
 
@@ -293,11 +290,6 @@ def _ink_margins(masks: np.ndarray) -> list[np.ndarray]:
     return [a.argmax(axis=1) for a in (rows, rows[:, ::-1], cols, cols[:, ::-1])]
 
 
-def _nearest_index(size, n: int) -> np.ndarray:
-    """floor(k * size / n) for k < n; a (N, 1) array of sizes gives N rows."""
-    return np.arange(n) * size // n
-
-
 def crop_to_bbox(img: BinaryImage) -> BinaryImage:
     """Crop to the minimal axis-aligned rectangle containing all ink."""
     top, below, left, right = (v.item() for v in _ink_margins(img.pixels[None]))
@@ -309,8 +301,8 @@ def resize_nearest(img: BinaryImage, height: int, width: int) -> BinaryImage:
     """Nearest-neighbor resample: out(r, c) = in(floor(r*H/height), floor(c*W/width))."""
     if height < 1 or width < 1:
         raise ValueError("target size must be a positive integer")
-    rows = _nearest_index(img.height, height)
-    cols = _nearest_index(img.width, width)
+    rows = np.arange(height) * img.height // height
+    cols = np.arange(width) * img.width // width
     return BinaryImage(width, height, img.pixels[rows[:, None], cols])
 
 
@@ -329,10 +321,11 @@ def normalize_glyphs(grays: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     thresholds. Raises EmptyGlyphError, `index` the first raster without ink."""
     if n < 1:
         raise ValueError("target size must be a positive integer")
-    cuts = _otsu_cuts(grays)
+    cuts = [_otsu_cut(pixels) for pixels in grays]
     masks = grays <= np.array(cuts)[:, None, None]
     top, below, left, right = (a[:, None] for a in _ink_margins(masks))
-    rows = top + _nearest_index(masks.shape[1] - below - top, n)
-    cols = left + _nearest_index(masks.shape[2] - right - left, n)
+    # resize_nearest's rule on each cropped box
+    rows = top + np.arange(n) * (masks.shape[1] - below - top) // n
+    cols = left + np.arange(n) * (masks.shape[2] - right - left) // n
     batch = np.arange(len(masks))[:, None, None]
     return masks[batch, rows[:, :, None], cols[:, None, :]], [max(t, 0) for t in cuts]

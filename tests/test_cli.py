@@ -129,21 +129,27 @@ class TestFeaturize:
         lines = dest.read_text().strip().splitlines()
         assert all(len(line.split(",")) == 9 for line in lines)
 
-    def test_blank_glyphs_name_the_first_in_manifest_order(self, tmp_path, capsys):
+    @pytest.mark.parametrize("first", ["blank-small.pgm", "blank-big.pgm"])
+    def test_blank_glyphs_name_the_first_in_manifest_order(
+        self, tmp_path, capsys, first
+    ):
         out = synth_corpus(tmp_path, count=2)
         capsys.readouterr()
-        # The 32x32 group is featurized first and holds the later blank row;
-        # a raster of zeros only is as blank as any other uniform one.
+        # The 32x32 group is featurized first, whichever blank row comes
+        # first; a raster of zeros only is as blank as any other uniform one.
         (out / "blank-small.pgm").write_bytes(b"P2 4 4 255\n" + b"0 " * 16)
         (out / "blank-big.pgm").write_bytes(b"P5 32 32 255\n" + b"\xc8" * 1024)
+        blanks = ["blank-small.pgm,ring", "blank-big.pgm,cup"]
+        if first == "blank-big.pgm":
+            blanks.reverse()
         rows = (out / "manifest.csv").read_text().splitlines()
-        rows[2:2] = ["blank-small.pgm,ring", "blank-big.pgm,cup"]
+        rows[2:2] = blanks
         rows[3], rows[5] = rows[5], rows[3]  # a glyph between the two blanks
         (out / "manifest.csv").write_text("\n".join(rows) + "\n")
         code = run(["featurize", "--manifest", str(out / "manifest.csv")])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: featurize: 'blank-small.pgm': empty glyph\n"
+        assert captured.err == f"error: featurize: {first!r}: empty glyph\n"
         assert captured.out == ""
 
 
