@@ -10,7 +10,6 @@ from .imaging import (
     EmptyGlyphError,
     GrayImage,
     PgmParseError,
-    binarize_fixed,
     binarize_otsu,
     binary_to_gray,
     crop_to_bbox,
@@ -57,6 +56,7 @@ from .dataset import (
     builtin_templates,
     load_manifest,
     load_registry,
+    read_manifest,
     split_even,
     synth_generate,
     write_corpus,

@@ -147,16 +147,17 @@ def _score_pairs(pm: svm.PairwiseModel, vectors, labels):
     return scored
 
 
-def _halves(samples, classes, seed: int):
-    """The (train, test) split of the samples labeled with `classes`: the one
-    partition rule, so `evaluate` scores exactly what `train` held out.
+def _halves(rows, classes, seed: int):
+    """The (train, test) split of the rows labeled with `classes`: the one
+    partition rule, so `evaluate` scores exactly what `train` held out. Only
+    labels are read: `train` and `evaluate` decode just the half they use.
     Each class must occur; `split_even` refuses one with a single sample."""
-    present = {s.label for s in samples}
+    present = {row.label for row in rows}
     for cls in classes:
         if cls not in present:
             raise ValueError(f"class {cls!r} has 0 sample(s) in the manifest")
     classes = set(classes)
-    return dataset.split_even([s for s in samples if s.label in classes], seed)
+    return dataset.split_even([row for row in rows if row.label in classes], seed)
 
 
 def cmd_synth(args) -> int:
@@ -232,11 +233,12 @@ def _parse_sweep(
 def cmd_train(args) -> int:
     meta, params = _resolve(args)
     model_path = _require(args, "model")
-    samples = dataset.load_manifest(_require(args, "manifest"))
+    manifest = _require(args, "manifest")
+    all_rows = dataset.read_manifest(manifest)
     registry = dataset.load_registry(_require(args, "registry"))
-    train_samples, _ = _halves(samples, registry.classes, meta.seed)
+    half, _ = _halves(all_rows, registry.classes, meta.seed)
     # Featurized once: every sweep candidate trains and scores these rows.
-    vectors, labels = _featurize_samples(train_samples, meta)
+    vectors, labels = _featurize_samples(dataset.load_manifest(manifest, half), meta)
     rows = vectors.tolist()
 
     name, candidates = (
@@ -274,9 +276,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     pm = svm.load_model(Path(_require(args, "model")).read_bytes())
     meta = pm.meta
-    samples = dataset.load_manifest(_require(args, "manifest"))
-    _, test_samples = _halves(samples, pm.classes, meta.seed)
-    vectors, labels = _featurize_samples(test_samples, meta)
+    manifest = _require(args, "manifest")
+    _, half = _halves(dataset.read_manifest(manifest), pm.classes, meta.seed)
+    vectors, labels = _featurize_samples(dataset.load_manifest(manifest, half), meta)
     scored = _score_pairs(pm, vectors, labels)
 
     sys.stdout.write(

@@ -14,7 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,10 +32,12 @@ from .svm import PairRegistry
 
 __all__ = [
     "GlyphSample",
+    "ManifestRow",
     "SynthParams",
     "ManifestError",
     "RegistryError",
     "SynthesisError",
+    "read_manifest",
     "load_manifest",
     "load_registry",
     "write_registry",
@@ -126,21 +128,40 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def load_manifest(path) -> list[GlyphSample]:
-    """Read a 'path,label' CSV manifest; image paths resolve relative to it.
+class ManifestRow(NamedTuple):
+    """One checked manifest row before its image is decoded."""
 
-    Rows load in order and labels are taken verbatim. Duplicate paths are
-    legal data. Raises ManifestError naming the offending row.
-    """
-    path = Path(path)
-    rows = _read_csv(path, "manifest", ["path", "label"], ManifestError)
-    samples = []
+    line_no: int
+    source_id: str  # the image path as written, relative to the manifest
+    label: str
+
+
+def read_manifest(path) -> list[ManifestRow]:
+    """The checked rows of a 'path,label' CSV manifest, in order, decoding no
+    image. Labels are taken verbatim and duplicate paths are legal data.
+    Raises ManifestError naming the offending row."""
+    rows = _read_csv(Path(path), "manifest", ["path", "label"], ManifestError)
+    checked = []
     for line_no, row in enumerate(rows, start=2):
         if len(row) != 2 or not row[0].strip() or not row[1]:
             raise ManifestError(f"manifest row {line_no}: expected 'path,label'")
-        rel, label = row[0].strip(), row[1]
+        checked.append(ManifestRow(line_no, row[0].strip(), row[1]))
+    return checked
+
+
+def load_manifest(path, rows=None) -> list[GlyphSample]:
+    """Decode the given `read_manifest` rows (default: all) in order; `train`
+    and `evaluate` pass only the half they use. Image paths resolve against
+    the manifest's folder as each row is decoded. Raises ManifestError
+    naming the first row that fails to decode."""
+    path = Path(path)
+    if rows is None:
+        rows = read_manifest(path)
+    folder = path.parent
+    samples = []
+    for line_no, rel, label in rows:
         try:
-            image = load_pgm((path.parent / rel).read_bytes())
+            image = load_pgm((folder / rel).read_bytes())
         except (OSError, ValueError) as exc:  # PgmParseError, or a NUL in the path
             raise ManifestError(f"manifest row {line_no}: {rel!r}: {exc}") from exc
         samples.append(GlyphSample(image, label, rel))
@@ -171,8 +192,8 @@ def write_registry(registry: PairRegistry, path) -> None:
 
 
 def split_even(
-    samples: Sequence[GlyphSample], seed: int
-) -> tuple[list[GlyphSample], list[GlyphSample]]:
+    samples: Sequence[GlyphSample | ManifestRow], seed: int
+) -> tuple[list, list]:
     """Per-class stratified halving: ceil(k/2) train, floor(k/2) test.
 
     Assignment comes from a seed-deterministic shuffle per class; both

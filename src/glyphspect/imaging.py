@@ -25,7 +25,6 @@ __all__ = [
     "write_pgm",
     "binary_to_gray",
     "binarize_otsu",
-    "binarize_fixed",
     "crop_to_bbox",
     "resize_nearest",
     "resize_to_square",
@@ -271,13 +270,6 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
     """
     cut = _otsu_cut(img.pixels)
     return BinaryImage(img.width, img.height, img.pixels <= cut), max(cut, 0)
-
-
-def binarize_fixed(img: GrayImage, t: int) -> BinaryImage:
-    """Mark every pixel with intensity <= t as ink."""
-    if not 0 <= t <= 255:
-        raise ValueError(f"threshold {t} outside [0, 255]")
-    return BinaryImage(img.width, img.height, img.pixels <= t)
 
 
 def _ink_margins(masks: np.ndarray) -> list[np.ndarray]:

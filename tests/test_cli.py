@@ -517,15 +517,20 @@ class TestTrainEvaluatePredict:
     def test_newline_in_manifest_cell_is_one_line_data_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         capsys.readouterr()
-        manifest = tmp_path / "nl.csv"
-        manifest.write_bytes(b'path,label\n"a\nb",ring\n')
+        manifest = out / "manifest.csv"
+        # every ring row names a missing file; train decodes its train-half one
+        rows = manifest.read_text().splitlines()
+        rows = ['"a\nb",ring' if r.endswith(",ring") else r for r in rows]
+        manifest.write_text("\n".join(rows) + "\n")
+        train_half, _ = dataset.split_even(dataset.read_manifest(manifest), 42)
+        line_no = next(row.line_no for row in train_half if row.label == "ring")
         code = run(
             ["train", "--manifest", str(manifest),
              "--registry", str(out / "registry.csv"), "--model", str(tmp_path / "m")]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: train: manifest row 2: 'a\\nb'")
+        assert err.startswith(f"error: train: manifest row {line_no}: 'a\\nb'")
         assert err.count("\n") == 1
 
     def test_newline_in_registry_cell_is_one_line_error(self, tmp_path, capsys):
@@ -569,6 +574,86 @@ class TestTrainEvaluatePredict:
              "--registry", str(tmp_path / "r.csv"), "--model", str(tmp_path / "m")]
         )
         assert code == 2
+
+
+class TestDecodeOnlyTheHalfUsed:
+    """`train` and `evaluate` decode only the manifest rows of the half they use."""
+
+    def train(self, out, model):
+        return run(
+            ["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"), "--model", str(model),
+             "--gamma", "2", "--normalize-l2"]
+        )
+
+    def evaluate(self, out, model):
+        return run(
+            ["evaluate", "--model", str(model), "--manifest", str(out / "manifest.csv")]
+        )
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """The bytes of every image the manifest loader decodes, in order."""
+        seen = []
+        load_pgm = dataset.load_pgm
+
+        def counting(data):
+            seen.append(bytes(data))
+            return load_pgm(data)
+
+        monkeypatch.setattr(dataset, "load_pgm", counting)
+        return seen
+
+    def test_each_command_decodes_exactly_its_half(self, tmp_path, decoded):
+        out = synth_corpus(tmp_path, count=5)  # 3 train and 2 test rows a class
+        train_half, test_half = dataset.split_even(
+            dataset.read_manifest(out / "manifest.csv"), 42
+        )
+        model = tmp_path / "m.json"
+        assert self.train(out, model) == 0
+        assert decoded == [(out / row.source_id).read_bytes() for row in train_half]
+        decoded.clear()
+        assert self.evaluate(out, model) == 0
+        assert decoded == [(out / row.source_id).read_bytes() for row in test_half]
+
+    def test_corrupt_test_half_glyph_fails_only_evaluate(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=4)
+        _, test_half = dataset.split_even(dataset.read_manifest(out / "manifest.csv"), 42)
+        bad = test_half[1]
+        (out / bad.source_id).write_bytes(b"P2 broken")
+        model = tmp_path / "m.json"
+        assert self.train(out, model) == 0
+        capsys.readouterr()
+        assert self.evaluate(out, model) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: evaluate: manifest row {bad.line_no}: {bad.source_id!r}: "
+        )
+        assert err.count("\n") == 1
+
+    def test_rows_are_checked_before_any_decode(self, tmp_path, capsys, decoded):
+        out = synth_corpus(tmp_path, count=4)
+        manifest = out / "manifest.csv"
+        text = manifest.read_text()
+        # a class outside the registry and the model, whose file is corrupt
+        (out / "ghost.pgm").write_bytes(b"P2 broken")
+        manifest.write_text(text + "ghost.pgm,ghost\n" * 3)
+        model = tmp_path / "m.json"
+        assert self.train(out, model) == 0
+        assert self.evaluate(out, model) == 0
+        assert len(decoded) == 16 and b"P2 broken" not in decoded
+        decoded.clear()
+        capsys.readouterr()
+
+        manifest.write_text(text + "just-one-field\n")
+        line_no = len(text.splitlines()) + 1
+        assert self.train(out, model) == 2
+        assert self.evaluate(out, model) == 2
+        assert capsys.readouterr().err == "".join(
+            f"error: {cmd}: manifest row {line_no}: expected 'path,label'\n"
+            for cmd in ("train", "evaluate")
+        )
+        assert decoded == []
 
 
 class TestConfigFile:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from glyphspect.imaging import BinaryImage, binarize_otsu, crop_to_bbox, load_pgm, resize_to_square
+from glyphspect import dataset
 from glyphspect.dataset import (
     GlyphSample,
     ManifestError,
+    ManifestRow,
     PairRegistry,
     RegistryError,
     SynthParams,
@@ -16,6 +18,7 @@ from glyphspect.dataset import (
     builtin_templates,
     load_manifest,
     load_registry,
+    read_manifest,
     split_even,
     synth_generate,
     write_corpus,
@@ -83,6 +86,49 @@ class TestManifest:
         (tmp_path / "m.csv").write_text("path,label\nx.pgm,a\n")
         with pytest.raises(ManifestError, match="row 2"):
             load_manifest(tmp_path / "m.csv")
+
+    def test_read_manifest_checks_rows_and_decodes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "load_pgm", None)  # any decode would fail
+        (tmp_path / "m.csv").write_text("path,label\n x.pgm ,a b\nno/such.pgm,c\n")
+        assert read_manifest(tmp_path / "m.csv") == [
+            ManifestRow(2, "x.pgm", "a b"), ManifestRow(3, "no/such.pgm", "c")
+        ]
+        (tmp_path / "m.csv").write_text("path,label\nx.pgm,a\nx.pgm\n")
+        with pytest.raises(ManifestError, match="row 3: expected 'path,label'"):
+            read_manifest(tmp_path / "m.csv")
+
+    def test_load_manifest_without_rows_decodes_every_read_manifest_row(self, tmp_path):
+        params = SynthParams(flips=0.05, max_shift=1, count=3, seed=8)
+        manifest = write_corpus(synth_generate(builtin_templates(), params, 16), tmp_path)
+        rows = read_manifest(manifest)
+        expected = [
+            GlyphSample(load_pgm((tmp_path / rel).read_bytes()), label, rel)
+            for _, rel, label in rows
+        ]
+        assert load_manifest(manifest) == expected
+        assert load_manifest(manifest, rows) == expected
+
+    def test_load_manifest_decodes_only_the_given_rows_in_order(self, tmp_path):
+        for name, value in (("x.pgm", 1), ("z.pgm", 3)):
+            self.write_pgm_file(tmp_path / name, value)
+        (tmp_path / "m.csv").write_text("path,label\nx.pgm,a\nmissing.pgm,b\nz.pgm,c\n")
+        rows = read_manifest(tmp_path / "m.csv")
+        samples = load_manifest(tmp_path / "m.csv", [rows[2], rows[0]])
+        assert [(s.source_id, s.image.pixels.item()) for s in samples] == [
+            ("z.pgm", 3), ("x.pgm", 1)
+        ]
+        assert load_manifest(tmp_path / "m.csv", []) == []
+        with pytest.raises(ManifestError, match="^manifest row 3: 'missing.pgm'"):
+            load_manifest(tmp_path / "m.csv", rows[1:])
+
+    def test_split_even_splits_rows_as_it_splits_samples(self, tmp_path):
+        params = SynthParams(count=5, seed=3)
+        manifest = write_corpus(synth_generate(builtin_templates(), params, 8), tmp_path)
+        for seed in (0, 42):
+            by_rows = split_even(read_manifest(manifest), seed)
+            by_samples = split_even(load_manifest(manifest), seed)
+            for rows, samples in zip(by_rows, by_samples):
+                assert [r.source_id for r in rows] == [s.source_id for s in samples]
 
 
 class TestRegistry:

@@ -12,7 +12,6 @@ from glyphspect.imaging import (
     EmptyGlyphError,
     GrayImage,
     PgmParseError,
-    binarize_fixed,
     binarize_otsu,
     binary_to_gray,
     crop_to_bbox,
@@ -347,7 +346,7 @@ class TestBinarizeOtsu:
             img = GrayImage(w, h, px)
             mask, t = binarize_otsu(img)
             assert t == otsu_scan_oracle(img)
-            assert mask == binarize_fixed(img, t)
+            assert mask.pixels.tolist() == (img.pixels <= t).tolist()
 
     @pytest.mark.parametrize(
         "levels",
@@ -361,39 +360,7 @@ class TestBinarizeOtsu:
         img = GrayImage(96, 96, px)
         mask, t = binarize_otsu(img)
         assert t == otsu_histogram_oracle(px)
-        assert mask == binarize_fixed(img, t)
-
-
-class TestBinarizeFixed:
-    def test_saturating_threshold(self):
-        img = GrayImage(2, 1, (0, 255))
-        assert binarize_fixed(img, 255).pixels.tolist() == [[1, 1]]
-
-    def test_zero_threshold(self):
-        img = GrayImage(3, 1, (0, 1, 255))
-        assert binarize_fixed(img, 0).pixels.tolist() == [[1, 0, 0]]
-
-    def test_midpoint(self):
-        img = GrayImage(2, 2, (0, 255, 128, 64))
-        assert binarize_fixed(img, 127).pixels.tolist() == [[1, 0], [0, 1]]
-
-    def test_monotone_in_threshold(self):
-        rng = random.Random(3)
-        img = GrayImage(5, 5, tuple(rng.randrange(256) for _ in range(25)))
-        for _ in range(20):
-            t1 = rng.randrange(256)
-            t2 = rng.randrange(t1, 256)
-            ink1 = binarize_fixed(img, t1).pixels.ravel().tolist()
-            ink2 = binarize_fixed(img, t2).pixels.ravel().tolist()
-            assert all(a <= b for a, b in zip(ink1, ink2))
-
-    def test_ink_total_equals_direct_count(self):
-        rng = random.Random(4)
-        for _ in range(20):
-            px = tuple(rng.randrange(256) for _ in range(30))
-            img = GrayImage(6, 5, px)
-            t = rng.randrange(256)
-            assert binarize_fixed(img, t).ink_count == sum(1 for p in px if p <= t)
+        assert mask.pixels.tolist() == (img.pixels <= t).tolist()
 
 
 class TestCropToBbox:
