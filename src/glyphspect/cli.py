@@ -292,8 +292,12 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     pm = svm.load_model(Path(_require(args, "model")).read_bytes())
     meta = pm.meta
-    gray = imaging.load_pgm(Path(args.image).read_bytes())
-    vec = _glyph_vector(gray, meta)
+    try:
+        gray = imaging.load_pgm(Path(args.image).read_bytes())
+        vec = _glyph_vector(gray, meta)
+    except (imaging.PgmParseError, imaging.EmptyGlyphError) as exc:
+        raise ValueError(f"{str(args.image)!r}: {exc}") from None
+    # not svm.vote on the decisions below: perfbench's trace times this call
     winner, votes = svm.predict_multiclass(pm, vec)
     print(f"predicted: {winner}")
     print("votes: " + " ".join(f"{cls}={votes[cls]}" for cls in pm.classes))

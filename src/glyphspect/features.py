@@ -89,6 +89,13 @@ class FeatureVector:
         if min(self.values) < 0:
             raise ValueError("feature magnitudes must be nonnegative")
 
+    @classmethod
+    def _adopt(cls, values: tuple[float, ...], m: int) -> FeatureVector:
+        """2m float magnitudes this module has just computed, unchecked."""
+        vec = object.__new__(cls)  # fields set as the frozen __init__ would
+        vars(vec).update(values=values, m=m)
+        return vec
+
 
 def project(img: BinaryImage) -> ProjectionPair:
     """Count ink per row (h) and per column (v) of a square binary image."""
@@ -150,4 +157,4 @@ def extract_features(
     fixed square resize already standardizes scale.
     """
     row = feature_rows(img.pixels[None], m, normalize)[0]
-    return FeatureVector(tuple(row.tolist()), m)
+    return FeatureVector._adopt(tuple(row.tolist()), m)

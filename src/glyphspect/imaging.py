@@ -11,6 +11,7 @@ immutable, which keeps the whole pipeline deterministic.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -49,9 +50,10 @@ class EmptyGlyphError(ValueError):
 class _Raster:
     """A width-by-height raster; `pixels` is a read-only (height, width) array.
 
-    `pixels` may be given flat (row-major, top row first) or as a
-    (height, width) array of integers; the image keeps its own copy.
-    Images compare equal when their type, shape and pixels are equal.
+    Caller data, flat (row-major, top row first) or a (height, width) array
+    of integers, is checked and copied; arrays this module makes are handed
+    over read-only, unchecked and uncopied, through `_adopt`. Images compare
+    equal when their type, shape and pixels are equal.
     """
 
     width: int
@@ -71,6 +73,15 @@ class _Raster:
         arr = self._convert(arr).reshape(self.height, self.width)
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray):
+        """An image of a (height, width) array of the class's dtype that no
+        other code holds a writable reference to."""
+        arr.setflags(write=False)
+        img = object.__new__(cls)  # fields set as the frozen __init__ would
+        vars(img).update(height=arr.shape[0], width=arr.shape[1], pixels=arr)
+        return img
 
     @staticmethod
     def _convert(arr: np.ndarray) -> np.ndarray:
@@ -193,7 +204,8 @@ def load_pgm(data: bytes) -> GrayImage:
             bad = next(tok for tok in tokens if not tok.isdigit())
             raise PgmParseError(f"invalid pixel value {bad!r}")
 
-    worst = int(values.max())
+    # a P5 byte cannot exceed maxval 255, so that case skips the scan
+    worst = int(values.max()) if magic == b"P2" or maxval < 255 else 0
     if worst > maxval:
         if magic == b"P2":
             try:  # fromstring saturates a sample past int64; this parse refuses it
@@ -201,8 +213,9 @@ def load_pgm(data: bytes) -> GrayImage:
             except (OverflowError, ValueError):  # past int64, or too many digits
                 raise PgmParseError(f"pixel value exceeds maxval {maxval}") from None
         raise PgmParseError(f"pixel value {worst} exceeds maxval {maxval}")
-    # in [0, 255] now, so uint8 spares the constructor its range check
-    return GrayImage(width, height, values.astype(np.uint8, copy=False))
+    # in [0, 255] now; a P5 image views `data`, immutable bytes
+    values = values.astype(np.uint8, copy=False)
+    return GrayImage._adopt(values.reshape(height, width))
 
 
 # Row 0 holds each intensity's digits and a space, row 1 its digits and a
@@ -223,7 +236,7 @@ def write_pgm(img: GrayImage) -> bytes:
 
 def binary_to_gray(img: BinaryImage) -> GrayImage:
     """Render a binary mask as grayscale: ink 0 on background 255."""
-    return GrayImage(img.width, img.height, ~img.pixels * np.uint8(255))
+    return GrayImage._adopt(~img.pixels * np.uint8(255))
 
 
 def _otsu_cut(pixels: np.ndarray) -> int:
@@ -269,7 +282,7 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
     threshold 0.
     """
     cut = _otsu_cut(img.pixels)
-    return BinaryImage(img.width, img.height, img.pixels <= cut), max(cut, 0)
+    return BinaryImage._adopt(img.pixels <= cut), max(cut, 0)
 
 
 def _ink_margins(masks: np.ndarray) -> list[np.ndarray]:
@@ -286,16 +299,23 @@ def crop_to_bbox(img: BinaryImage) -> BinaryImage:
     """Crop to the minimal axis-aligned rectangle containing all ink."""
     top, below, left, right = (v.item() for v in _ink_margins(img.pixels[None]))
     out = img.pixels[top : img.height - below, left : img.width - right]
-    return BinaryImage(out.shape[1], out.shape[0], out)
+    return BinaryImage._adopt(out)  # a view, read-only like the pixels it shows
+
+
+@functools.lru_cache(maxsize=256)
+def _nearest(size: int, n: int) -> np.ndarray:
+    """floor(k*size/n) for k < n, read-only: resize_nearest's source indices."""
+    index = np.arange(n) * size // n
+    index.setflags(write=False)
+    return index
 
 
 def resize_nearest(img: BinaryImage, height: int, width: int) -> BinaryImage:
     """Nearest-neighbor resample: out(r, c) = in(floor(r*H/height), floor(c*W/width))."""
     if height < 1 or width < 1:
         raise ValueError("target size must be a positive integer")
-    rows = np.arange(height) * img.height // height
-    cols = np.arange(width) * img.width // width
-    return BinaryImage(width, height, img.pixels[rows[:, None], cols])
+    rows, cols = _nearest(img.height, height), _nearest(img.width, width)
+    return BinaryImage._adopt(img.pixels.take(rows, axis=0).take(cols, axis=1))
 
 
 def resize_to_square(img: BinaryImage, n: int) -> BinaryImage:

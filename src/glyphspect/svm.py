@@ -39,6 +39,7 @@ __all__ = [
     "decisions",
     "predict_pair",
     "train_pairwise",
+    "vote",
     "predict_multiclass",
     "save_model",
     "load_model",
@@ -290,15 +291,6 @@ def train_smo(
     )
 
 
-def _kernel_sums(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    """sum_i alpha_i * y_i * K(s_i, x) for each row of a (k, 1, dim) array,
-    as a (k, 1) array, in one kernel block."""
-    diff = model._sv - x
-    k = np.exp(-model.gamma * np.einsum("rsd,rsd->rs", diff, diff))
-    # a dot product per row, as a single row gets; gemv rounds differently
-    return k[:, None] @ model._coef
-
-
 def decisions(model: SvmModel, rows: Sequence[Sequence[float]]) -> np.ndarray:
     """decision() of every row, bit for bit, one kernel block per
     _DECISION_BLOCK rows."""
@@ -310,16 +302,21 @@ def decisions(model: SvmModel, rows: Sequence[Sequence[float]]) -> np.ndarray:
     sums = np.empty(len(x))
     for start in range(0, len(x), _DECISION_BLOCK):
         block = slice(start, start + _DECISION_BLOCK)
-        sums[block] = _kernel_sums(model, x[block, None])[:, 0]
+        diff = model._sv - x[block, None]
+        k = np.exp(-model.gamma * np.einsum("rsd,rsd->rs", diff, diff))
+        # a dot product per row, as decision() takes; gemv rounds differently
+        sums[block] = (k[:, None] @ model._coef)[:, 0]
     return sums + model.bias
 
 
 def decision(model: SvmModel, x: Sequence[float]) -> float:
-    """sum_i alpha_i * y_i * K(s_i, x) + bias."""
+    """sum_i alpha_i * y_i * K(s_i, x) + bias; decisions() on one row,
+    without the batch axes."""
     if len(x) != model.dim:
         raise ValueError(f"dimension mismatch: expected {model.dim}, got {len(x)}")
-    row = np.asarray(x, dtype=float).reshape(1, 1, -1)
-    return float(_kernel_sums(model, row)[0, 0] + model.bias)
+    diff = model._sv - np.asarray(x, dtype=float)
+    k = np.exp(-model.gamma * np.einsum("sd,sd->s", diff, diff))
+    return float(k @ model._coef + model.bias)
 
 
 def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
@@ -452,19 +449,21 @@ def train_pairwise(
     return PairwiseModel(tuple(models), registry.classes, meta)
 
 
+def vote(pm: PairwiseModel, values: Sequence[float]) -> tuple[str, dict[str, int]]:
+    """Majority vote given each pair machine's decision value, in model order:
+    predict_pair's side per machine; ties go to the earliest class."""
+    votes = {cls: 0 for cls in pm.classes}
+    for mdl, value in zip(pm.models, values, strict=True):
+        votes[mdl.pos_class if value >= 0.0 else mdl.neg_class] += 1
+    return max(pm.classes, key=votes.__getitem__), votes  # max keeps the first
+
+
 def predict_multiclass(
     pm: PairwiseModel, x: Sequence[float]
 ) -> tuple[str, dict[str, int]]:
-    """Majority vote over pair machines; ties go to the earliest class."""
-    votes = {cls: 0 for cls in pm.classes}
+    """vote() on the decision value of every pair machine."""
     x = np.asarray(x, dtype=float)  # once, not per machine
-    for mdl in pm.models:
-        votes[predict_pair(mdl, x)] += 1
-    winner = pm.classes[0]
-    for cls in pm.classes[1:]:
-        if votes[cls] > votes[winner]:
-            winner = cls
-    return winner, votes
+    return vote(pm, [decision(mdl, x) for mdl in pm.models])
 
 
 def save_model(pm: PairwiseModel) -> bytes:

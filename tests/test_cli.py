@@ -204,8 +204,16 @@ class TestTrainEvaluatePredict:
         code = run(["predict", "--model", str(model), str(glyph)])
         assert code == 0
         pred = capsys.readouterr().out
-        assert pred.splitlines()[0].startswith("predicted: ")
-        assert "votes:" in pred
+        pm = load_model(model.read_bytes())
+        gray = imaging.load_pgm(glyph.read_bytes())
+        vec = cli._glyph_vector(gray, pm.meta)
+        winner, votes = svm.predict_multiclass(pm, vec)
+        assert pred.splitlines() == [
+            f"predicted: {winner}",
+            "votes: " + " ".join(f"{cls}={votes[cls]}" for cls in pm.classes),
+            *(f"decision {mdl.pos_class}/{mdl.neg_class}: "
+              f"{svm.decision(mdl, vec):+.6f}" for mdl in pm.models),
+        ]
         assert "decision ring/ring-gap:" in pred
         assert "decision cup/cup-bar:" in pred
 
@@ -466,7 +474,22 @@ class TestTrainEvaluatePredict:
         blank.write_bytes(b"P2 4 4 255\n" + b"255 " * 16 + b"\n")
         code = run(["predict", "--model", str(model), str(blank)])
         assert code == 2
-        assert "empty glyph" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: predict: {str(blank)!r}: empty glyph\n"
+
+    def test_predict_names_a_malformed_image(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        model = tmp_path / "model.json"
+        run(["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"), "--model", str(model)])
+        capsys.readouterr()
+        cut = tmp_path / "cut\nshort.pgm"  # the quoted path keeps one line
+        cut.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+        code = run(["predict", "--model", str(model), str(cut)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: predict: {str(cut)!r}: "
+            "truncated pixel data: expected 16 bytes, found 10\n"
+        )
 
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)

@@ -205,6 +205,14 @@ class TestExtractFeatures:
         fv = extract_features(BinaryImage(2, 2, (0,) * 4), 2, normalize=True)
         assert fv.values == (0.0,) * 4
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_equals_public_construction(self, normalize):
+        img = BinaryImage(4, 4, (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 1))
+        fv = extract_features(img, 3, normalize)
+        assert all(type(v) is float and v >= 0 for v in fv.values)
+        rebuilt = FeatureVector(fv.values, 3)
+        assert fv == rebuilt and hash(fv) == hash(rebuilt)
+
     def test_deterministic(self):
         img = BinaryImage(4, 4, (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 1))
         assert extract_features(img, 3) == extract_features(img, 3)

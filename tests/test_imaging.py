@@ -17,6 +17,7 @@ from glyphspect.imaging import (
     crop_to_bbox,
     load_pgm,
     normalize_glyphs,
+    resize_nearest,
     resize_to_square,
     write_pgm,
 )
@@ -450,6 +451,47 @@ class TestNormalizeGlyphs:
     def test_empty_stack(self):
         masks, thresholds = normalize_glyphs(np.zeros((0, 5, 2), dtype=np.uint8), 3)
         assert masks.shape == (0, 3, 3) and thresholds == []
+
+
+class TestHandedOverImages:
+    """The one-glyph functions hand their own arrays to the image types
+    without the public constructor's checks and copy."""
+
+    P5 = b"P5\n4 3\n255\n" + bytes(
+        [255, 255, 255, 255, 255, 0, 0, 255, 255, 0, 60, 255]
+    )
+
+    @pytest.mark.parametrize("data", [P5, write_pgm(load_pgm(P5))], ids=["P5", "P2"])
+    def test_read_only_and_equal_to_public_construction(self, data):
+        gray = load_pgm(data)
+        mask, _ = binarize_otsu(gray)
+        cropped = crop_to_bbox(mask)
+        images = [gray, mask, cropped, resize_to_square(cropped, 5),
+                  resize_nearest(mask, 2, 7), binary_to_gray(cropped)]
+        for img in images:
+            assert img.pixels.shape == (img.height, img.width)
+            assert not img.pixels.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                img.pixels[0, 0] = 0
+            rebuilt = type(img)(img.width, img.height, img.pixels.tolist())
+            assert img == rebuilt and hash(img) == hash(rebuilt)
+            assert img.pixels.dtype == rebuilt.pixels.dtype
+        assert cropped.pixels.tolist() == [[1, 1], [1, 1]]
+
+    @pytest.mark.parametrize("data", [P5, write_pgm(load_pgm(P5))], ids=["P5", "P2"])
+    def test_load_pgm_keeps_no_view_of_a_bytearray(self, data):
+        buffer = bytearray(data)
+        img = load_pgm(buffer)
+        before = img.pixels.tolist()
+        buffer[-2:] = b"00"
+        assert img.pixels.tolist() == before
+
+    def test_p5_sample_above_a_lower_maxval_still_fails(self):
+        with pytest.raises(PgmParseError, match="pixel value 201 exceeds maxval 200"):
+            load_pgm(b"P5\n2 1\n200\n" + bytes([200, 201]))
+        assert load_pgm(b"P5\n2 1\n200\n" + bytes([200, 0])).pixels.tolist() == [
+            [200, 0]
+        ]
 
 
 def test_binary_to_gray_round_trip():

@@ -24,6 +24,7 @@ from glyphspect.svm import (
     save_model,
     train_pairwise,
     train_smo,
+    vote,
 )
 
 
@@ -485,6 +486,16 @@ class TestTrainPairwise:
         with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 1"):
             predict_multiclass(pm, (0.0,))
 
+    def test_vote_takes_decision_values(self):
+        pm = trained_pairwise()
+        for probe in ((0.0, 0.0), (4.0, 4.0), (1.5, 3.0)):
+            values = [decision(mdl, probe) for mdl in pm.models]
+            assert vote(pm, values) == predict_multiclass(pm, probe)
+        winner, votes = vote(pm, [0.0, -1e-300])  # zero goes positive
+        assert (winner, votes) == ("a", {"a": 1, "b": 0, "c": 0, "d": 1})
+        with pytest.raises(ValueError):
+            vote(pm, [1.0])  # one value per machine
+
     def test_vote_cycle_breaks_by_class_order(self):
         # a beats b, b beats c, c beats a: one vote each
         models = (
@@ -671,6 +682,26 @@ def test_load_model_raises_only_its_named_error(data):
         return
     assert load_model(save_model(pm)) == pm
 
+
+
+@pytest.mark.parametrize("support, dim", [(1, 5), (7, 1), (1, 1)])
+def test_one_row_decision_equals_batch_on_edge_shapes(support, dim):
+    rng = np.random.default_rng(support * 10 + dim)
+    model = SvmModel(
+        support_x=rng.normal(size=(support, dim)).tolist(),
+        support_y=rng.choice([-1, 1], size=support).tolist(),
+        alpha=rng.uniform(0.01, 1.0, size=support).tolist(),
+        bias=float(rng.normal()),
+        gamma=float(rng.uniform(0.05, 2.0)),
+        dim=dim,
+        pos_class="p",
+        neg_class="q",
+        c=1.0,
+    )
+    x = rng.normal(size=(2 * svm._DECISION_BLOCK + 1, dim))
+    assert [v.hex() for v in svm.decisions(model, x).tolist()] == [
+        decision(model, row).hex() for row in x.tolist()
+    ]
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
