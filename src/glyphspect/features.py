@@ -8,7 +8,7 @@ projection signals, so small in-frame translations of a glyph barely move
 its feature vector.
 
 `feature_rows` computes the vectors of an (N, n, n) stack of glyphs in one
-FFT; `extract_features` is its batch-of-one call.
+FFT; `extract_features` runs the same helpers on one glyph.
 """
 from __future__ import annotations
 
@@ -129,21 +129,30 @@ def truncate_spectrum(spec: Spectrum, m: int) -> tuple[float, ...]:
     return tuple(_magnitudes(spec.coeffs[:m]).tolist())
 
 
-def feature_rows(masks: np.ndarray, m: int, normalize: bool = False) -> np.ndarray:
-    """The (N, 2m) feature rows of an (N, n, n) stack of binary glyphs (m <= n):
-    row i is extract_features of glyph i. Each L2 norm is math.sqrt of the
-    builtin sum() of the squares, whose rounding differs from numpy's sums."""
-    count, height, n = masks.shape
+def _spectra(masks: np.ndarray, m: int) -> np.ndarray:
+    """The lowest m DFT magnitudes of row sums, then of column sums: (..., 2m)."""
+    *lead, height, n = masks.shape
     if height != n:
         raise ValueError(f"projection requires a square image, got {n}x{height}")
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= {n}, got {m}")
-    signals = np.empty((count, 2, n))  # row sums, then column sums
-    masks.sum(axis=2, out=signals[:, 0])
-    masks.sum(axis=1, out=signals[:, 1])
-    rows = _magnitudes(np.fft.fft(signals)[:, :, :m]).reshape(count, 2 * m)
-    if normalize:  # an inkless glyph's zero norm leaves its zeros as they are
-        rows /= [[math.sqrt(sum(sq)) or 1.0] for sq in np.square(rows).tolist()]
+    signals = np.empty((*lead, 2, n))
+    masks.sum(axis=-1, out=signals[..., 0, :])
+    masks.sum(axis=-2, out=signals[..., 1, :])
+    return _magnitudes(np.fft.fft(signals)[..., :m]).reshape(*lead, 2 * m)
+
+
+def _l2_norm(squares: list[float]) -> float:
+    # builtin sum() rounds unlike numpy's sums; 1 keeps an inkless glyph's zeros
+    return math.sqrt(sum(squares)) or 1.0
+
+
+def feature_rows(masks: np.ndarray, m: int, normalize: bool = False) -> np.ndarray:
+    """The (N, 2m) feature rows of an (N, n, n) stack of binary glyphs (m <= n):
+    row i is extract_features of glyph i."""
+    rows = _spectra(masks, m)
+    if normalize:
+        rows /= [[_l2_norm(sq)] for sq in np.square(rows).tolist()]
     return rows
 
 
@@ -156,5 +165,7 @@ def extract_features(
     Optionally L2-normalizes the final vector; off by default since the
     fixed square resize already standardizes scale.
     """
-    row = feature_rows(img.pixels[None], m, normalize)[0]
+    row = _spectra(img.pixels, m)
+    if normalize:
+        row /= _l2_norm(np.square(row).tolist())
     return FeatureVector._adopt(tuple(row.tolist()), m)

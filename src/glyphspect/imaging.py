@@ -4,7 +4,7 @@ Each image holds one read-only 2-D numpy array (uint8 intensities for
 grayscale, bool for a mask), so every operation is a whole-array step and
 no code loops over pixels in Python. `normalize_glyphs` thresholds, crops
 and resizes an (N, h, w) stack of equal-shape rasters at once, with the
-same Otsu scan and ink bounding-box helpers the one-image functions call.
+Otsu scan and the crop and resize rules of the one-image functions.
 Otsu's threshold is still chosen in exact integer arithmetic, on each
 image's own histogram. All operations are pure and the image types are
 immutable, which keeps the whole pipeline deterministic.
@@ -297,9 +297,13 @@ def _ink_margins(masks: np.ndarray) -> list[np.ndarray]:
 
 def crop_to_bbox(img: BinaryImage) -> BinaryImage:
     """Crop to the minimal axis-aligned rectangle containing all ink."""
-    top, below, left, right = (v.item() for v in _ink_margins(img.pixels[None]))
-    out = img.pixels[top : img.height - below, left : img.width - right]
-    return BinaryImage._adopt(out)  # a view, read-only like the pixels it shows
+    rows = img.pixels.any(axis=1)
+    top = rows.argmax()
+    if not rows[top]:
+        raise EmptyGlyphError()
+    band = img.pixels[top : img.height - rows[::-1].argmax()]  # inked rows, a view
+    cols = band.any(axis=0)  # over the band only: no column has ink outside it
+    return BinaryImage._adopt(band[:, cols.argmax() : img.width - cols[::-1].argmax()])
 
 
 @functools.lru_cache(maxsize=256)
@@ -320,8 +324,6 @@ def resize_nearest(img: BinaryImage, height: int, width: int) -> BinaryImage:
 
 def resize_to_square(img: BinaryImage, n: int) -> BinaryImage:
     """Resample to an n-by-n raster. Identity when the image is already n-by-n."""
-    if n < 1:
-        raise ValueError("target size must be a positive integer")
     if img.width == n and img.height == n:
         return img
     return resize_nearest(img, n, n)

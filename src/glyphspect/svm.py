@@ -10,7 +10,7 @@ The selection is deterministic, so a training set always yields the same
 model.
 
 A PairwiseModel bundles one binary machine per confusable class pair and
-predicts by majority vote.
+predicts by majority vote, with one kernel value per support vector.
 """
 from __future__ import annotations
 
@@ -291,6 +291,17 @@ def train_smo(
     )
 
 
+def _kernel(sv: np.ndarray, x: Sequence[float], gamma: float) -> np.ndarray:
+    """K(s, x) for each row s of `sv`: (S,) for one row x, (R, S) for (R, 1, d) x."""
+    x, dim = np.asarray(x, dtype=float), sv.shape[1]
+    if x.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {x.shape[-1]}")
+    diff = sv - x
+    k = np.einsum("...d,...d->...", diff, diff)
+    k *= -gamma
+    return np.exp(k, out=k)
+
+
 def decisions(model: SvmModel, rows: Sequence[Sequence[float]]) -> np.ndarray:
     """decision() of every row, bit for bit, one kernel block per
     _DECISION_BLOCK rows."""
@@ -302,8 +313,7 @@ def decisions(model: SvmModel, rows: Sequence[Sequence[float]]) -> np.ndarray:
     sums = np.empty(len(x))
     for start in range(0, len(x), _DECISION_BLOCK):
         block = slice(start, start + _DECISION_BLOCK)
-        diff = model._sv - x[block, None]
-        k = np.exp(-model.gamma * np.einsum("rsd,rsd->rs", diff, diff))
+        k = _kernel(model._sv, x[block, None], model.gamma)
         # a dot product per row, as decision() takes; gemv rounds differently
         sums[block] = (k[:, None] @ model._coef)[:, 0]
     return sums + model.bias
@@ -312,11 +322,7 @@ def decisions(model: SvmModel, rows: Sequence[Sequence[float]]) -> np.ndarray:
 def decision(model: SvmModel, x: Sequence[float]) -> float:
     """sum_i alpha_i * y_i * K(s_i, x) + bias; decisions() on one row,
     without the batch axes."""
-    if len(x) != model.dim:
-        raise ValueError(f"dimension mismatch: expected {model.dim}, got {len(x)}")
-    diff = model._sv - np.asarray(x, dtype=float)
-    k = np.exp(-model.gamma * np.einsum("sd,sd->s", diff, diff))
-    return float(k @ model._coef + model.bias)
+    return float(_kernel(model._sv, x, model.gamma) @ model._coef + model.bias)
 
 
 def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
@@ -381,6 +387,9 @@ class PairwiseModel:
     models: tuple[SvmModel, ...]
     classes: tuple[str, ...]
     meta: ModelMeta | None = None
+    # every machine's support vectors stacked, and each machine's row span
+    _sv: np.ndarray = field(init=False, repr=False, compare=False)
+    _spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
@@ -399,6 +408,9 @@ class PairwiseModel:
                 raise ValueError("pair machines disagree on feature dimension")
             if mdl.gamma != first.gamma or mdl.c != first.c:
                 raise ValueError("pair machines disagree on kernel parameters")
+        ends = list(itertools.accumulate(len(mdl.alpha) for mdl in self.models))
+        object.__setattr__(self, "_sv", np.vstack([mdl._sv for mdl in self.models]))
+        object.__setattr__(self, "_spans", tuple(zip([0] + ends, ends)))
 
 
 def train_pairwise(
@@ -458,12 +470,17 @@ def vote(pm: PairwiseModel, values: Sequence[float]) -> tuple[str, dict[str, int
     return max(pm.classes, key=votes.__getitem__), votes  # max keeps the first
 
 
+def _decision_values(pm: PairwiseModel, x: Sequence[float]) -> list[float]:
+    """decision() of every pair machine, bit for bit, from one kernel row."""
+    k = _kernel(pm._sv, x, pm.models[0].gamma)
+    return [float(k[a:b] @ m._coef + m.bias) for m, (a, b) in zip(pm.models, pm._spans)]
+
+
 def predict_multiclass(
     pm: PairwiseModel, x: Sequence[float]
 ) -> tuple[str, dict[str, int]]:
     """vote() on the decision value of every pair machine."""
-    x = np.asarray(x, dtype=float)  # once, not per machine
-    return vote(pm, [decision(mdl, x) for mdl in pm.models])
+    return vote(pm, _decision_values(pm, x))
 
 
 def save_model(pm: PairwiseModel) -> bytes:

@@ -388,9 +388,41 @@ class TestCropToBbox:
         assert (out.width, out.height) == (3, 2)
         assert out.pixels.tolist() == [[1, 1, 0], [0, 1, 1]]
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["00100", "10000", "00001", "01000"],  # ink on every border
+            ["000", "000", "010"],
+            ["0000", "0000", "0001"],  # a corner
+            ["001010"],  # 1 x k
+            ["1", "0", "1", "1", "0", "0"],  # k x 1
+            ["011", "000", "000"],
+        ],
+        ids=["all-borders", "one-pixel", "corner", "1xk", "kx1", "top-row"],
+    )
+    def test_matches_the_batch_crop_rule(self, grid):
+        pixels = [[c == "1" for c in row] for row in grid]
+        mask = BinaryImage(len(grid[0]), len(grid), pixels)
+        out = crop_to_bbox(mask)
+        rows, cols = np.nonzero(mask.pixels)
+        box = mask.pixels[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
+        assert out.pixels.tolist() == box.tolist()
+        # normalize_glyphs crops the same box: ink 0 on 255 thresholds back to
+        # the mask, and resizing either crop to n gives the same raster
+        gray = binary_to_gray(mask).pixels
+        for n in (1, 2, out.width, out.height, max(mask.width, mask.height) + 1):
+            batch, _ = normalize_glyphs(gray[None], n)
+            assert resize_to_square(out, n).pixels.tolist() == batch[0].tolist()
+
     def test_empty_glyph(self):
         with pytest.raises(EmptyGlyphError, match="empty glyph"):
             crop_to_bbox(BinaryImage(3, 3, (0,) * 9))
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (1, 1)], ids=["1xk", "kx1", "1x1"])
+    def test_empty_thin_mask(self, shape):
+        with pytest.raises(EmptyGlyphError, match="^empty glyph$") as caught:
+            crop_to_bbox(BinaryImage(shape[1], shape[0], np.zeros(shape, dtype=bool)))
+        assert caught.value.index == 0
 
     def test_idempotent(self):
         rng = random.Random(11)

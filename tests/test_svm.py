@@ -487,14 +487,33 @@ class TestTrainPairwise:
             predict_multiclass(pm, (0.0,))
 
     def test_vote_takes_decision_values(self):
-        pm = trained_pairwise()
-        for probe in ((0.0, 0.0), (4.0, 4.0), (1.5, 3.0)):
+        trained = trained_pairwise()
+        # exactly 0.0 at the origin: K = 1 there, and 1e-3 * 1 - 1e-3 == 0
+        zero_at_origin = SvmModel(
+            support_x=((0.0, 0.0),), support_y=(1,), alpha=(1e-3,), bias=-1e-3,
+            gamma=0.7, dim=2, pos_class="d", neg_class="a", c=10.0,
+        )
+        assert decision(zero_at_origin, (0.0, 0.0)) == 0.0
+        one_sv = stub_model("b", "c", -1, dim=2, gamma=0.7)
+        pm = PairwiseModel(trained.models + (one_sv, zero_at_origin), trained.classes)
+        counts = [len(mdl.alpha) for mdl in pm.models]
+        assert 1 in counts and len(set(counts)) > 1  # spans of differing lengths
+        for probe in ((0.0, 0.0), (4.0, 4.0), (1.5, 3.0), (-0.2, 0.1)):
             values = [decision(mdl, probe) for mdl in pm.models]
+            # one kernel block for every machine, each value decision()'s in bits
+            block = svm._decision_values(pm, probe)
+            assert [v.hex() for v in block] == [v.hex() for v in values]
             assert vote(pm, values) == predict_multiclass(pm, probe)
-        winner, votes = vote(pm, [0.0, -1e-300])  # zero goes positive
+        # the zero machine's vote goes positive, as predict_pair's does
+        assert predict_pair(zero_at_origin, (0.0, 0.0)) == "d"
+        less = PairwiseModel(pm.models[:-1], pm.classes)
+        _, without = predict_multiclass(less, (0.0, 0.0))
+        _, votes = predict_multiclass(pm, (0.0, 0.0))
+        assert votes == {**without, "d": without["d"] + 1}
+        winner, votes = vote(trained, [0.0, -1e-300])  # zero goes positive
         assert (winner, votes) == ("a", {"a": 1, "b": 0, "c": 0, "d": 1})
         with pytest.raises(ValueError):
-            vote(pm, [1.0])  # one value per machine
+            vote(trained, [1.0])  # one value per machine
 
     def test_vote_cycle_breaks_by_class_order(self):
         # a beats b, b beats c, c beats a: one vote each
