@@ -136,9 +136,11 @@ def _spectra(masks: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"projection requires a square image, got {n}x{height}")
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= {n}, got {m}")
+    # exact 0/1 sums; bool sums cast inside the reduction at twice the cost
+    ink, ones = masks.astype(np.float64), np.ones(n)
     signals = np.empty((*lead, 2, n))
-    masks.sum(axis=-1, out=signals[..., 0, :])
-    masks.sum(axis=-2, out=signals[..., 1, :])
+    np.matmul(ink, ones, out=signals[..., 0, :])
+    np.matmul(ones, ink, out=signals[..., 1, :])
     return _magnitudes(np.fft.fft(signals)[..., :m]).reshape(*lead, 2 * m)
 
 

@@ -5,9 +5,10 @@ grayscale, bool for a mask), so every operation is a whole-array step and
 no code loops over pixels in Python. `normalize_glyphs` thresholds, crops
 and resizes an (N, h, w) stack of equal-shape rasters at once, with the
 Otsu scan and the crop and resize rules of the one-image functions.
-Otsu's threshold is still chosen in exact integer arithmetic, on each
-image's own histogram. All operations are pure and the image types are
-immutable, which keeps the whole pipeline deterministic.
+Otsu's threshold is chosen in exact integer arithmetic on each image's own
+histogram, or in closed form for one level (no cut) or two (the lower). All
+operations are pure and the image types are immutable, which keeps the
+whole pipeline deterministic.
 """
 from __future__ import annotations
 
@@ -241,7 +242,17 @@ def binary_to_gray(img: BinaryImage) -> GrayImage:
 
 def _otsu_cut(pixels: np.ndarray) -> int:
     """The Otsu threshold of one intensity array; -1 for a uniform one, so
-    that no pixel is ink."""
+    that no pixel is ink. Two levels have one splitting cut, the lower."""
+    lo, hi = int(pixels.min()), int(pixels.max())
+    if lo == hi:
+        return -1
+    if not np.count_nonzero((pixels > lo) & (pixels < hi)):  # no third level
+        return lo
+    return _otsu_scan(pixels)
+
+
+def _otsu_scan(pixels: np.ndarray) -> int:
+    """The Otsu threshold of one intensity array from its histogram."""
     hist = np.bincount(pixels.ravel(), minlength=256)
     levels = np.flatnonzero(hist)
     counts = hist[levels]
@@ -279,7 +290,7 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
     smallest threshold. The comparison is done in exact integer arithmetic,
     so the argmax is unambiguous. A uniform-intensity image has no
     distinguishable glyph content: it maps to an all-background mask with
-    threshold 0.
+    threshold 0. Two levels have one splitting cut, the lower: no histogram.
     """
     cut = _otsu_cut(img.pixels)
     return BinaryImage._adopt(img.pixels <= cut), max(cut, 0)
@@ -335,11 +346,15 @@ def normalize_glyphs(grays: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     thresholds. Raises EmptyGlyphError, `index` the first raster without ink."""
     if n < 1:
         raise ValueError("target size must be a positive integer")
-    cuts = [_otsu_cut(pixels) for pixels in grays]
-    masks = grays <= np.array(cuts)[:, None, None]
+    # _otsu_cut's rule (int16 cuts compare several times faster than int64 ones)
+    lo, hi = (r(axis=(1, 2), keepdims=True) for r in (grays.min, grays.max))
+    scan = ((grays > lo) & (grays < hi)).any(axis=(1, 2))  # a third level
+    cuts = np.where((lo < hi).ravel(), lo.ravel().astype(np.int16), -1)
+    cuts[scan] = [_otsu_scan(pixels) for pixels in grays[scan]]
+    masks = grays <= cuts[:, None, None]
     top, below, left, right = (a[:, None] for a in _ink_margins(masks))
     # resize_nearest's rule on each cropped box
     rows = top + np.arange(n) * (masks.shape[1] - below - top) // n
     cols = left + np.arange(n) * (masks.shape[2] - right - left) // n
     batch = np.arange(len(masks))[:, None, None]
-    return masks[batch, rows[:, :, None], cols[:, None, :]], [max(t, 0) for t in cuts]
+    return masks[batch, rows[:, :, None], cols[:, None, :]], np.maximum(cuts, 0).tolist()

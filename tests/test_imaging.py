@@ -74,6 +74,32 @@ def otsu_histogram_oracle(pixels) -> int:
     return best_t
 
 
+def otsu_mask(img: GrayImage, t: int) -> list:
+    """binarize_otsu's mask at threshold t: ink <= t, and none in a uniform image."""
+    px = img.pixels
+    return ((px <= t) & (px.min() < px.max())).tolist()
+
+
+# one-level, two-level and three-level rasters, small enough for the
+# exhaustive scan; the closed form for one and two levels must agree with it
+OTSU_EDGE_RASTERS = {
+    "uniform-0": (3, 2, (0,) * 6),
+    "uniform-255": (2, 3, (255,) * 6),
+    "1x1": (1, 1, (7,)),
+    "1x1-0": (1, 1, (0,)),
+    "two-level-0-255": (3, 3, (0, 255, 255, 0, 0, 255, 255, 255, 0)),
+    "two-level-0-1": (4, 2, (1, 0, 1, 1, 1, 0, 1, 1)),
+    "two-level-254-255": (2, 4, (254, 255, 255, 255, 254, 254, 255, 255)),
+    "lone-ink-pixel": (5, 4, (255,) * 13 + (0,) + (255,) * 6),
+    "lone-paper-pixel": (5, 4, (0,) * 7 + (255,) + (0,) * 12),
+    "equal-counts": (4, 2, (9, 200, 200, 9, 9, 200, 9, 200)),
+    "1x2": (2, 1, (40, 41)),
+    "three-level": (3, 3, (0, 128, 255, 255, 128, 0, 0, 0, 255)),
+    "three-level-adjacent": (3, 2, (10, 11, 12, 12, 11, 12)),
+    "three-level-one-middle": (4, 3, (0,) * 5 + (254,) + (255,) * 6),
+}
+
+
 class TestGrayImage:
     def test_pixel_count_must_match(self):
         with pytest.raises(ValueError):
@@ -338,20 +364,38 @@ class TestBinarizeOtsu:
 
     def test_random_images_match_exhaustive_scan(self):
         rng = random.Random(99)
-        for _ in range(25):
-            w = rng.randint(1, 9)
-            h = rng.randint(1, 9)
-            px = tuple(rng.randrange(256) for _ in range(w * h))
-            if min(px) == max(px):
-                continue
+        rasters = dict(OTSU_EDGE_RASTERS)
+        for k in range(25):
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
+            rasters[f"random-{k}"] = (w, h, tuple(rng.randrange(256) for _ in range(w * h)))
+        for k in range(10):
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
+            levels = rng.sample(range(256), 2)
+            px = tuple(rng.choice(levels) for _ in range(w * h))
+            rasters[f"two-random-levels-{k}"] = (w, h, px)
+        for name, (w, h, px) in rasters.items():
             img = GrayImage(w, h, px)
             mask, t = binarize_otsu(img)
-            assert t == otsu_scan_oracle(img)
-            assert mask.pixels.tolist() == (img.pixels <= t).tolist()
+            assert t == otsu_scan_oracle(img), name
+            assert mask.pixels.tolist() == otsu_mask(img, t), name
 
     @pytest.mark.parametrize(
         "levels",
-        [tuple(range(256)), (0, 255), (30, 31), (0, 128, 255), (10, 90, 250)],
+        [
+            tuple(range(256)),
+            (0, 255),
+            (30, 31),
+            (0, 128, 255),
+            (10, 90, 250),
+            (0,),
+            (255,),
+            (0, 1),
+            (254, 255),
+            (0, 1, 255),
+            (0, 254, 255),
+            pytest.param((0,) + (255,) * 9215, id="lone-ink-pixel"),
+            pytest.param((0,) * 9215 + (255,), id="lone-paper-pixel"),
+        ],
     )
     def test_stream_size_matches_histogram_fraction_oracle(self, levels):
         # 96x96 is past the size where (s0*n1 - s1*n0)^2 overflows int64
@@ -361,7 +405,7 @@ class TestBinarizeOtsu:
         img = GrayImage(96, 96, px)
         mask, t = binarize_otsu(img)
         assert t == otsu_histogram_oracle(px)
-        assert mask.pixels.tolist() == (img.pixels <= t).tolist()
+        assert mask.pixels.tolist() == otsu_mask(img, t)
 
 
 class TestCropToBbox:
@@ -479,6 +523,45 @@ class TestNormalizeGlyphs:
         with pytest.raises(EmptyGlyphError, match="^empty glyph$") as caught:
             normalize_glyphs(stack, 4)
         assert caught.value.index == 1
+
+    @pytest.mark.parametrize("size, n", [(32, 32), (32, 20), (96, 32), (96, 40)])
+    def test_mixed_stack_matches_one_image_path(self, size, n):
+        # two-level, multi-level and uniform rasters interleaved: the closed
+        # form and the histogram scan each take their own rasters of the stack
+        rng = np.random.default_rng(size + n)
+
+        def blob(lo, hi):
+            raster = np.full((size, size), hi, dtype=np.uint8)
+            top, left = rng.integers(0, size // 2, 2)
+            height, width = rng.integers(2, size // 2, 2)
+            raster[top : top + height, left : left + width] = lo
+            return raster
+
+        def blurred(raster):  # 3x3 box blur: several gray levels along each edge
+            padded = np.pad(raster.astype(np.int64), 1, mode="edge")
+            total = sum(padded[i : i + size, j : j + size] for i in range(3) for j in range(3))
+            return (total // 9).astype(np.uint8)
+
+        lone = np.full((size, size), 255, dtype=np.uint8)
+        lone[size - 1, 3] = 0
+        three = blob(0, 255)
+        three[0, 0] = 128
+        noise = rng.integers(0, 256, (size, size), dtype=np.uint8)
+        stack = [blob(0, 255), blurred(blob(0, 255)), blob(0, 1), three]
+        stack += [blob(254, 255), lone, noise, blurred(blob(30, 200))]
+        masks, cuts = normalize_glyphs(np.stack(stack), n)
+        for raster, mask, cut in zip(stack, masks, cuts):
+            one, t = binarize_otsu(GrayImage(size, size, raster))
+            assert cut == t
+            assert mask.tolist() == resize_to_square(crop_to_bbox(one), n).pixels.tolist()
+        for level in (0, 255, 77):
+            for at in (0, 3, len(stack)):
+                mixed = stack[:at] + [np.full((size, size), level, dtype=np.uint8)] + stack[at:]
+                with pytest.raises(EmptyGlyphError, match="^empty glyph$") as caught:
+                    normalize_glyphs(np.stack(mixed), n)
+                assert caught.value.index == at
+                with pytest.raises(EmptyGlyphError):
+                    crop_to_bbox(binarize_otsu(GrayImage(size, size, mixed[at]))[0])
 
     def test_empty_stack(self):
         masks, thresholds = normalize_glyphs(np.zeros((0, 5, 2), dtype=np.uint8), 3)
