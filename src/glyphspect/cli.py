@@ -47,6 +47,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # No abbreviations: `synth --m 4` must not be taken for `--max-shift 4`.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on bad usage by default; 2 is reserved for data errors.
     def error(self, message):
         raise UsageError(message)
@@ -86,15 +90,17 @@ def _require(args, name: str) -> str:
 
 def _resolve(args) -> tuple[svm.ModelMeta, svm.KernelParams]:
     """Pipeline settings from flags and config file; n defaults to 32, m to
-    n/2, gamma to 1/(2m), c to 10 and seed to 42. A value the model types
-    reject is a usage error."""
-    n = 32 if args.n is None else args.n
-    m = max(1, n // 2) if args.m is None else args.m
-    seed = 42 if args.seed is None else args.seed
-    gamma = getattr(args, "gamma", None)  # gamma and c: train only
-    c = getattr(args, "c", None)
+    n/2, gamma to 1/(2m), c to 10 and seed to 42, also where the subcommand
+    has no such flag. A value the model types reject is a usage error."""
+    n, m, gamma, c, seed, normalize = (
+        getattr(args, name, None)
+        for name in ("n", "m", "gamma", "c", "seed", "normalize_l2")
+    )
+    n = 32 if n is None else n
+    m = max(1, n // 2) if m is None else m
+    seed = 42 if seed is None else seed
     try:
-        meta = svm.ModelMeta(n=n, m=m, seed=seed, normalize=bool(args.normalize_l2))
+        meta = svm.ModelMeta(n=n, m=m, seed=seed, normalize=bool(normalize))
         gamma = 1.0 / (2 * m) if gamma is None else float(gamma)
         return meta, svm.KernelParams(gamma=gamma, c=10.0 if c is None else float(c))
     except ValueError as exc:
@@ -307,32 +313,22 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _add_pipeline_flags(parser, with_training=False):
-    parser.add_argument(
-        "--n", type=int, default=None,
-        help="normalization raster side (default: 32)",
-    )
-    parser.add_argument(
-        "--m", type=int, default=None,
-        help="spectral coefficients kept per axis (default: n/2)",
-    )
-    if with_training:
-        parser.add_argument(
-            "--gamma", type=float, default=None,
-            help="RBF kernel width (default: 1/(2m))",
-        )
-        parser.add_argument(
-            "--c", type=float, default=None,
-            help="SVM box constraint (default: 10)",
-        )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="deterministic seed (default: 42)",
-    )
-    parser.add_argument(
-        "--normalize-l2", action="store_true", default=None,
-        help="L2-normalize feature vectors (default: off)",
-    )
+_PIPELINE_FLAGS = {
+    "n": dict(type=int, help="normalization raster side (default: 32)"),
+    "m": dict(type=int, help="spectral coefficients kept per axis (default: n/2)"),
+    "gamma": dict(type=float, help="RBF kernel width (default: 1/(2m))"),
+    "c": dict(type=float, help="SVM box constraint (default: 10)"),
+    "seed": dict(type=int, help="deterministic seed (default: 42)"),
+    "normalize-l2": dict(
+        action="store_true", help="L2-normalize feature vectors (default: off)"
+    ),
+}
+
+
+def _add_pipeline_flags(parser, *names):
+    """The named pipeline flags: only those its subcommand reads."""
+    for name in names:
+        parser.add_argument("--" + name, default=None, **_PIPELINE_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale-jitter", type=float, default=0.0,
         help="relative size perturbation in [0, 0.5] (default: 0)",
     )
-    _add_pipeline_flags(p_synth)
+    _add_pipeline_flags(p_synth, "n", "seed")
     p_synth.set_defaults(func=cmd_synth)
 
     p_feat = sub.add_parser(
@@ -381,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument(
         "--out", default=None, help="output file (default: standard output)"
     )
-    _add_pipeline_flags(p_feat)
+    _add_pipeline_flags(p_feat, "n", "m", "normalize-l2")
     p_feat.set_defaults(func=cmd_featurize)
 
     p_train = sub.add_parser(
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="try gamma=v1,v2,... or c=v1,v2,... and keep the best "
         "by mean train accuracy (default: off)",
     )
-    _add_pipeline_flags(p_train, with_training=True)
+    _add_pipeline_flags(p_train, *_PIPELINE_FLAGS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser(

@@ -296,16 +296,6 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
     return BinaryImage._adopt(img.pixels <= cut), max(cut, 0)
 
 
-def _ink_margins(masks: np.ndarray) -> list[np.ndarray]:
-    """Blank rows above and below and columns left and right of the ink of each
-    mask of an (N, h, w) stack; EmptyGlyphError names the first inkless one."""
-    rows, cols = masks.any(axis=2), masks.any(axis=1)
-    inked = rows.any(axis=1).tolist()  # builtins beat tiny numpy reductions
-    if not all(inked):
-        raise EmptyGlyphError(inked.index(False))
-    return [a.argmax(axis=1) for a in (rows, rows[:, ::-1], cols, cols[:, ::-1])]
-
-
 def crop_to_bbox(img: BinaryImage) -> BinaryImage:
     """Crop to the minimal axis-aligned rectangle containing all ink."""
     rows = img.pixels.any(axis=1)
@@ -346,15 +336,24 @@ def normalize_glyphs(grays: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     thresholds. Raises EmptyGlyphError, `index` the first raster without ink."""
     if n < 1:
         raise ValueError("target size must be a positive integer")
-    # _otsu_cut's rule (int16 cuts compare several times faster than int64 ones)
+    # _otsu_cut's rule (int16 cuts compare several times faster than int64 ones);
+    # its cut leaves ink exactly in a raster of two levels or more
     lo, hi = (r(axis=(1, 2), keepdims=True) for r in (grays.min, grays.max))
+    inked = (lo < hi).ravel().tolist()  # builtins beat tiny numpy reductions
+    if not all(inked):
+        raise EmptyGlyphError(inked.index(False))
     scan = ((grays > lo) & (grays < hi)).any(axis=(1, 2))  # a third level
-    cuts = np.where((lo < hi).ravel(), lo.ravel().astype(np.int16), -1)
+    cuts = lo.ravel().astype(np.int16)
     cuts[scan] = [_otsu_scan(pixels) for pixels in grays[scan]]
     masks = grays <= cuts[:, None, None]
-    top, below, left, right = (a[:, None] for a in _ink_margins(masks))
+    # blank rows above and below and columns left and right of each raster's ink
+    ink_rows, ink_cols = masks.any(axis=2), masks.any(axis=1)
+    top, below, left, right = (
+        a.argmax(axis=1)[:, None]
+        for a in (ink_rows, ink_rows[:, ::-1], ink_cols, ink_cols[:, ::-1])
+    )
     # resize_nearest's rule on each cropped box
     rows = top + np.arange(n) * (masks.shape[1] - below - top) // n
     cols = left + np.arange(n) * (masks.shape[2] - right - left) // n
     batch = np.arange(len(masks))[:, None, None]
-    return masks[batch, rows[:, :, None], cols[:, None, :]], np.maximum(cuts, 0).tolist()
+    return masks[batch, rows[:, :, None], cols[:, None, :]], cuts.tolist()

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -31,24 +32,55 @@ def synth_corpus(tmp_path, count=8, flips=0.01, seed=42):
     return out
 
 
+# Each subcommand's exact option strings: the pipeline flags are only those
+# its command reads.
+OPTIONS = {
+    "synth": "--out --templates --count --flips --max-shift --scale-jitter "
+             "--n --seed",
+    "featurize": "--manifest --out --n --m --normalize-l2",
+    "train": "--manifest --registry --model --sweep --n --m --gamma --c --seed "
+             "--normalize-l2",
+    "evaluate": "--model --manifest --csv",
+    "predict": "--model",
+}
+
+
 class TestHelp:
-    @pytest.mark.parametrize(
-        "command", ["synth", "featurize", "train", "evaluate", "predict"]
-    )
+    @pytest.mark.parametrize("command", list(OPTIONS))
     def test_help_lists_flags_with_defaults(self, command, capsys):
+        subparsers = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert list(subparsers.choices) == list(OPTIONS)
+        declared = [
+            option for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+        ]
+        assert declared == ["-h", "--help", *OPTIONS[command].split(), "--config"]
         assert run([command, "--help"]) == 0
         text = capsys.readouterr().out
         assert "default" in text
-        if command in ("synth", "featurize", "train"):
-            assert "--n" in text and "--m" in text
-        if command == "train":
-            assert "--gamma" in text and "--c" in text and "--sweep" in text
-        if command == "evaluate":
-            assert "--csv" in text
+        assert set(declared) <= set(text.replace(",", " ").split())
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["train", "--nonsense"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["synth", "--m", "4"], ["synth", "--normalize-l2"],
+         ["featurize", "--manifest", "manifest.csv", "--seed", "1"]],
+        ids=["synth-m", "synth-normalize-l2", "featurize-seed"],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "synth":
+            argv = [*argv, "--out", str(tmp_path / "corpus")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: unrecognized arguments:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestSynth:
@@ -692,6 +724,27 @@ class TestConfigFile:
         lines = capsys.readouterr().out.strip().splitlines()
         # flag m=2 wins over config m=4
         assert all(len(line.split(",")) == 5 for line in lines)
+
+    def test_shared_config_keys_a_command_does_not_read_are_ignored(
+        self, tmp_path, capsys
+    ):
+        # synth reads only seed, featurize only m and normalize_l2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 4, "normalize_l2": True, "seed": 7, "gamma": 2.0}))
+
+        def synth_and_featurize(name, synth_flags, featurize_flags):
+            out = tmp_path / name
+            assert run(["synth", "--out", str(out), "--count", "2", *synth_flags]) == 0
+            capsys.readouterr()
+            manifest = str(out / "manifest.csv")
+            assert run(["featurize", "--manifest", manifest, *featurize_flags]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            return files, capsys.readouterr().out
+
+        shared = synth_and_featurize("shared", ["--config", str(cfg)], ["--config", str(cfg)])
+        flags = synth_and_featurize("flags", ["--seed", "7"], ["--m", "4", "--normalize-l2"])
+        assert shared == flags
+        assert len(shared[1].splitlines()[0].split(",")) == 9
 
     def test_config_can_supply_paths(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
