@@ -7,8 +7,8 @@ failing subcommand to standard error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,7 +91,8 @@ def _require(args, name: str) -> str:
 def _resolve(args) -> tuple[svm.ModelMeta, svm.KernelParams]:
     """Pipeline settings from flags and config file; n defaults to 32, m to
     n/2, gamma to 1/(2m), c to 10 and seed to 42, also where the subcommand
-    has no such flag. A value the model types reject is a usage error."""
+    has no such flag. `train` replaces an unset gamma with _scale_gamma of
+    its train half. A value the model types reject is a usage error."""
     n, m, gamma, c, seed, normalize = (
         getattr(args, name, None)
         for name in ("n", "m", "gamma", "c", "seed", "normalize_l2")
@@ -105,6 +106,17 @@ def _resolve(args) -> tuple[svm.ModelMeta, svm.KernelParams]:
         return meta, svm.KernelParams(gamma=gamma, c=10.0 if c is None else float(c))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _scale_gamma(vectors, m: int) -> float:
+    """The default RBF width 1/(2m·Var) for the feature rows `vectors`, Var
+    the population variance of all their values pooled over rows and
+    columns, so the kernel fits the features' scale. fsum keeps the bits
+    independent of numpy's summation order. Var exactly 0 gives 1/(2m)."""
+    values = vectors.ravel().tolist()
+    mean = math.fsum(values) / len(values)
+    var = math.fsum((v - mean) ** 2 for v in values) / len(values)
+    return 1.0 / (2 * m) if var == 0 else 1.0 / (2 * m * var)
 
 
 def _glyph_vector(
@@ -221,21 +233,6 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep(
-    spec: str, params: svm.KernelParams
-) -> tuple[str, list[svm.KernelParams]]:
-    """The swept name and one candidate per listed value."""
-    name, eq, rest = spec.partition("=")
-    if eq != "=" or name not in ("gamma", "c") or not rest:
-        raise UsageError("--sweep expects gamma=v1,v2,... or c=v1,v2,...")
-    try:
-        return name, [
-            dataclasses.replace(params, **{name: float(v)}) for v in rest.split(",")
-        ]
-    except ValueError as exc:
-        raise UsageError(f"--sweep: {exc}") from None
-
-
 def cmd_train(args) -> int:
     meta, params = _resolve(args)
     model_path = _require(args, "model")
@@ -243,36 +240,17 @@ def cmd_train(args) -> int:
     all_rows = dataset.read_manifest(manifest)
     registry = dataset.load_registry(_require(args, "registry"))
     half, _ = _halves(all_rows, registry.classes, meta.seed)
-    # Featurized once: every sweep candidate trains and scores these rows.
     vectors, labels = _featurize_samples(dataset.load_manifest(manifest, half), meta)
-    rows = vectors.tolist()
-
-    name, candidates = (
-        _parse_sweep(args.sweep, params) if args.sweep else (None, [params])
+    if args.gamma is None:
+        params = svm.KernelParams(_scale_gamma(vectors, meta.m), params.c)
+    pm = svm.train_pairwise(
+        vectors.tolist(), labels, params, meta.seed, pairs=registry.pairs, meta=meta
     )
-    best = None
-    for candidate in candidates:
-        pm = svm.train_pairwise(
-            rows, labels, candidate, meta.seed, pairs=registry.pairs, meta=meta
+    for (pos, neg), _, pair_metrics in _score_pairs(pm, vectors, labels):
+        print(
+            f"pair {pos}/{neg}: train accuracy "
+            f"{evaluation.format_percent(pair_metrics.accuracy)}%"
         )
-        scored = _score_pairs(pm, vectors, labels)
-        mean = sum(metrics.accuracy for _, _, metrics in scored) / len(scored)
-        if name is not None:
-            print(
-                f"sweep {name}={getattr(candidate, name):g}: mean train "
-                f"accuracy {evaluation.format_percent(mean)}%"
-            )
-        if best is None or mean > best[0]:
-            best = (mean, candidate, pm, scored)
-    _, chosen, pm, scored = best
-    if name is not None:
-        print(f"selected {name}={getattr(chosen, name):g}")
-    else:
-        for (pos, neg), _, pair_metrics in scored:
-            print(
-                f"pair {pos}/{neg}: train accuracy "
-                f"{evaluation.format_percent(pair_metrics.accuracy)}%"
-            )
 
     Path(model_path).write_bytes(svm.save_model(pm))
     print(f"model written: {model_path}")
@@ -316,7 +294,11 @@ def cmd_predict(args) -> int:
 _PIPELINE_FLAGS = {
     "n": dict(type=int, help="normalization raster side (default: 32)"),
     "m": dict(type=int, help="spectral coefficients kept per axis (default: n/2)"),
-    "gamma": dict(type=float, help="RBF kernel width (default: 1/(2m))"),
+    "gamma": dict(
+        type=float,
+        help="RBF kernel width (default: 1/(2m*Var), Var the variance of the "
+        "train-half feature values; 1/(2m) if Var is 0)",
+    ),
     "c": dict(type=float, help="SVM box constraint (default: 10)"),
     "seed": dict(type=int, help="deterministic seed (default: 42)"),
     "normalize-l2": dict(
@@ -388,11 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--registry", default=None, help="confusable-pair registry CSV (required)"
     )
     p_train.add_argument("--model", default=None, help="output model file (required)")
-    p_train.add_argument(
-        "--sweep", default=None,
-        help="try gamma=v1,v2,... or c=v1,v2,... and keep the best "
-        "by mean train accuracy (default: off)",
-    )
     _add_pipeline_flags(p_train, *_PIPELINE_FLAGS)
     p_train.set_defaults(func=cmd_train)
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import pytest
 
@@ -38,7 +39,7 @@ OPTIONS = {
     "synth": "--out --templates --count --flips --max-shift --scale-jitter "
              "--n --seed",
     "featurize": "--manifest --out --n --m --normalize-l2",
-    "train": "--manifest --registry --model --sweep --n --m --gamma --c --seed "
+    "train": "--manifest --registry --model --n --m --gamma --c --seed "
              "--normalize-l2",
     "evaluate": "--model --manifest --csv",
     "predict": "--model",
@@ -70,8 +71,9 @@ class TestHelp:
     @pytest.mark.parametrize(
         "argv",
         [["synth", "--m", "4"], ["synth", "--normalize-l2"],
-         ["featurize", "--manifest", "manifest.csv", "--seed", "1"]],
-        ids=["synth-m", "synth-normalize-l2", "featurize-seed"],
+         ["featurize", "--manifest", "manifest.csv", "--seed", "1"],
+         ["train", "--sweep", "gamma=1"]],
+        ids=["synth-m", "synth-normalize-l2", "featurize-seed", "train-sweep"],
     )
     def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
         if argv[0] == "synth":
@@ -299,15 +301,73 @@ class TestTrainEvaluatePredict:
         assert code == 2
         assert "'ghost'" in capsys.readouterr().err
 
-    def test_default_gamma_is_one_over_2m(self, tmp_path):
+    def test_default_gamma_fits_raw_features(self, tmp_path):
+        # raw ink counts, no --gamma: 1/(2m) would score each pair near 50%
+        out = tmp_path / "corpus"
+        assert run(
+            ["synth", "--out", str(out), "--seed", "7", "--flips", "0.05",
+             "--scale-jitter", "0.2", "--max-shift", "2"]
+        ) == 0
+        manifest = out / "manifest.csv"
+        model = tmp_path / "m.json"
+        report = tmp_path / "report.csv"
+        assert run(
+            ["train", "--manifest", str(manifest),
+             "--registry", str(out / "registry.csv"), "--model", str(model)]
+        ) == 0
+        assert run(
+            ["evaluate", "--model", str(model), "--manifest", str(manifest),
+             "--csv", str(report)]
+        ) == 0
+        accuracies = [float(row.split(",")[-1])
+                      for row in report.read_text().splitlines()[1:]]
+        assert len(accuracies) == 2 and min(accuracies) >= 90.0
+
+        pm = load_model(model.read_bytes())
+        train_half, _ = dataset.split_even(dataset.load_manifest(manifest), 42)
+        vectors, _ = cli._featurize_samples(train_half, pm.meta)
+        values = [v for row in vectors.tolist() for v in row]
+        mean = math.fsum(values) / len(values)
+        var = math.fsum((v - mean) ** 2 for v in values) / len(values)
+        assert var > 0
+        assert pm.models[0].gamma == 1.0 / (2 * pm.meta.m * var)
+
+    def test_zero_variance_gamma_falls_back_to_one_over_2m(self, tmp_path):
         out = synth_corpus(tmp_path, count=2)
+        glyph = (out / "manifest.csv").read_text().splitlines()[1].split(",")[0]
+        manifest = out / "one-glyph.csv"
+        manifest.write_text(
+            "path,label\n" + f"{glyph},ring\n{glyph},ring-gap\n" * 2
+        )
+        registry = out / "ring.csv"
+        registry.write_text("correct_class,error_class\nring,ring-gap\n")
+        models = []
+        for extra in ([], ["--gamma", "0.5"]):
+            model = tmp_path / f"m{len(models)}.json"
+            assert run(
+                ["train", "--manifest", str(manifest), "--registry", str(registry),
+                 "--model", str(model), "--m", "1", *extra]
+            ) == 0
+            models.append(model.read_bytes())
+        # with m = 1 both features are the ink count, so Var is exactly 0
+        assert models[0] == models[1]
+        assert load_model(models[0]).models[0].gamma == 0.5
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_explicit_gamma_is_stored_exactly(self, tmp_path, source):
+        out = synth_corpus(tmp_path, count=2)
+        if source == "flag":
+            extra = ["--gamma", "0.3"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"gamma": 0.3}))
+            extra = ["--config", str(cfg)]
         model = tmp_path / "m.json"
         assert run(
             ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(model), "--m", "4"]
+             "--registry", str(out / "registry.csv"), "--model", str(model), *extra]
         ) == 0
-        assert b'"gamma": 0.125' in model.read_bytes()
+        assert load_model(model.read_bytes()).models[0].gamma == 0.3
 
     def test_evaluate_refuses_manifest_missing_a_model_class(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
@@ -355,44 +415,6 @@ class TestTrainEvaluatePredict:
             assert captured.err.count("\n") == 1
             assert "class 'cup' has only 1 sample(s)" in captured.err
         assert not (tmp_path / "m2.json").exists()
-
-    def test_sweep_selects_and_reports(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=4)
-        model = tmp_path / "m.json"
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(model), "--normalize-l2",
-             "--sweep", "gamma=0.03125,2"]
-        )
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "sweep gamma=0.03125:" in stdout
-        assert "sweep gamma=2:" in stdout
-        assert "selected gamma=" in stdout
-        assert model.is_file()
-
-    def test_sweep_featurizes_train_half_once(self, tmp_path, monkeypatch):
-        out = synth_corpus(tmp_path, count=4)
-        calls = []
-        normalize = imaging.normalize_glyphs
-
-        def counting(grays, n):
-            calls.extend([1] * len(grays))
-            return normalize(grays, n)
-
-        monkeypatch.setattr(imaging, "normalize_glyphs", counting)
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(tmp_path / "m.json"), "--normalize-l2",
-             "--sweep", "gamma=0.5,2,10"]
-        )
-        assert code == 0
-        train_half, _ = dataset.split_even(
-            dataset.load_manifest(out / "manifest.csv"), 42
-        )
-        assert len(calls) == len(train_half)
 
     def test_train_names_first_blank_glyph_of_the_train_half(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
@@ -464,30 +486,16 @@ class TestTrainEvaluatePredict:
             )
             assert row == expected.splitlines()[1]
 
-    def test_bad_sweep_spec_is_usage_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(tmp_path / "m.json"), "--sweep", "kappa=1"]
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize(
-        "extra", [["--sweep", "gamma=1,inf"], {"gamma": float("nan")}],
-        ids=["sweep-inf", "config-nan"],
-    )
-    def test_non_finite_kernel_value_is_usage_error(self, tmp_path, capsys, extra):
+    def test_non_finite_kernel_value_is_usage_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         capsys.readouterr()
-        if isinstance(extra, dict):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(extra))  # writes the NaN literal
-            extra = ["--config", str(cfg)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": float("nan")}))  # writes the NaN literal
         model = tmp_path / "m.json"
         code = run(
             ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"), "--model", str(model), *extra]
+             "--registry", str(out / "registry.csv"), "--model", str(model),
+             "--config", str(cfg)]
         )
         assert code == 1
         err = capsys.readouterr().err
