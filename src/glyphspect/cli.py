@@ -23,23 +23,41 @@ EXIT_TRAINING = 3
 
 _BLOCK = 256  # glyphs featurized per array block; bounds the stacks' memory
 
-# Each config key and the JSON type of its value; `float` also takes an
-# integer, and no numeric key takes true or false.
+# Every setting a flag or the config file may give, with its argparse
+# keywords. Its config key is the flag's name with `_` for `-`, and the
+# key's value must have the JSON type of the flag's value: `float` also
+# takes an integer, and no number takes true or false.
+_SETTINGS = {
+    "manifest": dict(help="sample manifest CSV (required)"),
+    "registry": dict(help="confusable-pair registry CSV (required)"),
+    "model": dict(
+        help="model file: train writes it, evaluate and predict read it (required)"
+    ),
+    "csv": dict(help="also write counts+metrics CSV here (default: off)"),
+    "n": dict(type=int, help="normalization raster side (default: 32)"),
+    "m": dict(type=int, help="spectral coefficients kept per axis (default: n/2)"),
+    "gamma": dict(
+        type=float,
+        help="RBF kernel width (default: 1/(2m*Var), Var the variance of the "
+        "train-half feature values; 1/(2m) if Var is 0)",
+    ),
+    "c": dict(type=float, help="SVM box constraint (default: 10)"),
+    "seed": dict(type=int, help="deterministic seed (default: 42)"),
+    "normalize-l2": dict(
+        action="store_true", help="L2-normalize feature vectors (default: off)"
+    ),
+}
 _CONFIG_KEYS = {
-    "n": int,
-    "m": int,
-    "gamma": float,
-    "c": float,
-    "seed": int,
-    "normalize_l2": bool,
-    "manifest": str,
-    "registry": str,
-    "model": str,
-    "csv": str,
+    name.replace("-", "_"): bool if kw.get("action") == "store_true"
+    else kw.get("type", str)
+    for name, kw in _SETTINGS.items()
 }
 _JSON_TYPE_NAMES = {
     int: "an integer", float: "a number", bool: "true or false", str: "a string"
 }
+# The paths a subcommand cannot run without, in the order they are named
+# when several are missing.
+_REQUIRED = ("model", "manifest", "registry")
 
 
 class UsageError(Exception):
@@ -79,13 +97,6 @@ def _load_config_file(args) -> None:
             )
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
-
-
-def _require(args, name: str) -> str:
-    value = getattr(args, name, None)
-    if value is None:
-        raise UsageError(f"--{name} is required (flag or config file)")
-    return str(value)
 
 
 def _resolve(args) -> tuple[svm.ModelMeta, svm.KernelParams]:
@@ -190,9 +201,11 @@ def cmd_synth(args) -> int:
             raise ValueError(f"no .pgm templates in {str(tpl_dir)!r}")
         templates = {}
         for path in files:
-            gray = imaging.load_pgm(path.read_bytes())
-            binary, _ = imaging.binarize_otsu(gray)
-            templates[path.stem] = imaging.crop_to_bbox(binary)
+            try:
+                binary, _ = imaging.binarize_otsu(imaging.load_pgm(path.read_bytes()))
+                templates[path.stem] = imaging.crop_to_bbox(binary)
+            except (imaging.PgmParseError, imaging.EmptyGlyphError) as exc:
+                raise ValueError(f"{str(path)!r}: {exc}") from None
         registry = None
     else:
         templates = dataset.builtin_templates()
@@ -219,7 +232,7 @@ def cmd_synth(args) -> int:
 
 def cmd_featurize(args) -> int:
     meta, _ = _resolve(args)
-    samples = dataset.load_manifest(_require(args, "manifest"))
+    samples = dataset.load_manifest(args.manifest)
     vectors, labels = _featurize_samples(samples, meta)
     lines = [
         label + "," + ",".join(format(v, ".17g") for v in vec)
@@ -235,12 +248,10 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     meta, params = _resolve(args)
-    model_path = _require(args, "model")
-    manifest = _require(args, "manifest")
-    all_rows = dataset.read_manifest(manifest)
-    registry = dataset.load_registry(_require(args, "registry"))
+    all_rows = dataset.read_manifest(args.manifest)
+    registry = dataset.load_registry(args.registry)
     half, _ = _halves(all_rows, registry.classes, meta.seed)
-    vectors, labels = _featurize_samples(dataset.load_manifest(manifest, half), meta)
+    vectors, labels = _featurize_samples(dataset.load_manifest(args.manifest, half), meta)
     if args.gamma is None:
         params = svm.KernelParams(_scale_gamma(vectors, meta.m), params.c)
     pm = svm.train_pairwise(
@@ -252,17 +263,16 @@ def cmd_train(args) -> int:
             f"{evaluation.format_percent(pair_metrics.accuracy)}%"
         )
 
-    Path(model_path).write_bytes(svm.save_model(pm))
-    print(f"model written: {model_path}")
+    Path(args.model).write_bytes(svm.save_model(pm))
+    print(f"model written: {args.model}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    pm = svm.load_model(Path(_require(args, "model")).read_bytes())
+    pm = svm.load_model(Path(args.model).read_bytes())
     meta = pm.meta
-    manifest = _require(args, "manifest")
-    _, half = _halves(dataset.read_manifest(manifest), pm.classes, meta.seed)
-    vectors, labels = _featurize_samples(dataset.load_manifest(manifest, half), meta)
+    _, half = _halves(dataset.read_manifest(args.manifest), pm.classes, meta.seed)
+    vectors, labels = _featurize_samples(dataset.load_manifest(args.manifest, half), meta)
     scored = _score_pairs(pm, vectors, labels)
 
     sys.stdout.write(
@@ -274,7 +284,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    pm = svm.load_model(Path(_require(args, "model")).read_bytes())
+    pm = svm.load_model(Path(args.model).read_bytes())
     meta = pm.meta
     try:
         gray = imaging.load_pgm(Path(args.image).read_bytes())
@@ -291,26 +301,10 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-_PIPELINE_FLAGS = {
-    "n": dict(type=int, help="normalization raster side (default: 32)"),
-    "m": dict(type=int, help="spectral coefficients kept per axis (default: n/2)"),
-    "gamma": dict(
-        type=float,
-        help="RBF kernel width (default: 1/(2m*Var), Var the variance of the "
-        "train-half feature values; 1/(2m) if Var is 0)",
-    ),
-    "c": dict(type=float, help="SVM box constraint (default: 10)"),
-    "seed": dict(type=int, help="deterministic seed (default: 42)"),
-    "normalize-l2": dict(
-        action="store_true", help="L2-normalize feature vectors (default: off)"
-    ),
-}
-
-
-def _add_pipeline_flags(parser, *names):
-    """The named pipeline flags: only those its subcommand reads."""
+def _add_settings(parser, *names):
+    """The named settings' flags: only those its subcommand reads."""
     for name in names:
-        parser.add_argument("--" + name, default=None, **_PIPELINE_FLAGS[name])
+        parser.add_argument("--" + name, default=None, **_SETTINGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,44 +343,38 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale-jitter", type=float, default=0.0,
         help="relative size perturbation in [0, 0.5] (default: 0)",
     )
-    _add_pipeline_flags(p_synth, "n", "seed")
+    _add_settings(p_synth, "n", "seed")
     p_synth.set_defaults(func=cmd_synth)
 
     p_feat = sub.add_parser(
         "featurize", help="print 'label,f_1,...,f_2M' lines for a manifest"
     )
-    p_feat.add_argument("--manifest", default=None, help="sample manifest CSV (required)")
+    _add_settings(p_feat, "manifest")
     p_feat.add_argument(
         "--out", default=None, help="output file (default: standard output)"
     )
-    _add_pipeline_flags(p_feat, "n", "m", "normalize-l2")
+    _add_settings(p_feat, "n", "m", "normalize-l2")
     p_feat.set_defaults(func=cmd_featurize)
 
     p_train = sub.add_parser(
         "train", help="train one RBF-SVM per registry pair"
     )
-    p_train.add_argument("--manifest", default=None, help="sample manifest CSV (required)")
-    p_train.add_argument(
-        "--registry", default=None, help="confusable-pair registry CSV (required)"
+    _add_settings(
+        p_train, "manifest", "registry", "model", "n", "m", "gamma", "c", "seed",
+        "normalize-l2",
     )
-    p_train.add_argument("--model", default=None, help="output model file (required)")
-    _add_pipeline_flags(p_train, *_PIPELINE_FLAGS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser(
         "evaluate", help="score the held-out half and print the report table"
     )
-    p_eval.add_argument("--model", default=None, help="trained model file (required)")
-    p_eval.add_argument("--manifest", default=None, help="sample manifest CSV (required)")
-    p_eval.add_argument(
-        "--csv", default=None, help="also write counts+metrics CSV here (default: off)"
-    )
+    _add_settings(p_eval, "model", "manifest", "csv")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_pred = sub.add_parser(
         "predict", help="classify a single glyph image"
     )
-    p_pred.add_argument("--model", default=None, help="trained model file (required)")
+    _add_settings(p_pred, "model")
     p_pred.add_argument("image", help="PGM glyph image to classify")
     p_pred.set_defaults(func=cmd_predict)
 
@@ -412,6 +400,9 @@ def main(argv=None) -> int:
     command = args.command
     try:
         _load_config_file(args)
+        for name in _REQUIRED:
+            if hasattr(args, name) and getattr(args, name) is None:
+                raise UsageError(f"--{name} is required (flag or config file)")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {command}: {exc}", file=sys.stderr)

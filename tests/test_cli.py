@@ -104,6 +104,25 @@ class TestSynth:
         assert err.startswith("error: synth:")
         assert err.strip().count("\n") == 0
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"P2 2 2 255\n255 255 255 255\n", "empty glyph"),
+         (b"P9\n", "malformed magic number")],
+        ids=["blank", "malformed"],
+    )
+    def test_bad_template_is_named(self, tmp_path, capsys, data, message):
+        tdir = tmp_path / "templates"
+        tdir.mkdir()
+        (tdir / "a.pgm").write_bytes(b"P2 3 3 255\n0 0 0 0 0 0 0 255 255\n")
+        bad = tdir / "b.pgm"
+        bad.write_bytes(data)
+        code = run(["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: synth: {str(bad)!r}: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_custom_template_dir(self, tmp_path):
         tdir = tmp_path / "templates"
         tdir.mkdir()
@@ -765,6 +784,66 @@ class TestConfigFile:
     def test_missing_required_path_is_usage_error(self, capsys):
         assert run(["featurize"]) == 1
         assert "--manifest" in capsys.readouterr().err
+
+    def test_config_keys_follow_the_flags(self):
+        assert cli._CONFIG_KEYS == {
+            "n": int, "m": int, "gamma": float, "c": float, "seed": int,
+            "normalize_l2": bool, "manifest": str, "registry": str, "model": str,
+            "csv": str,
+        }
+
+    def test_config_can_supply_every_path(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=4)
+        capsys.readouterr()
+        manifest = str(out / "manifest.csv")
+
+        def train_and_evaluate(tag):
+            """Model bytes, stdout and CSV of train then evaluate, each given
+            every path it reads by flags or, for tag "config", a config file."""
+            run_dir = tmp_path / tag
+            run_dir.mkdir()
+            model = str(run_dir / "model.json")
+            for command, paths, extra in (
+                ("train", {"manifest": manifest, "registry": str(out / "registry.csv"),
+                           "model": model}, ["--gamma", "2", "--normalize-l2"]),
+                ("evaluate", {"model": model, "manifest": manifest,
+                              "csv": str(run_dir / "report.csv")}, []),
+            ):
+                if tag == "config":
+                    cfg = run_dir / f"{command}.json"
+                    cfg.write_text(json.dumps(paths))
+                    argv = ["--config", str(cfg)]
+                else:
+                    argv = [arg for key, path in paths.items() for arg in ("--" + key, path)]
+                assert run([command, *argv, *extra]) == 0
+            stdout = capsys.readouterr().out.replace(str(run_dir), "DIR")
+            return (
+                (run_dir / "model.json").read_bytes(), stdout,
+                (run_dir / "report.csv").read_bytes(),
+            )
+
+        flags = train_and_evaluate("flags")
+        assert train_and_evaluate("config") == flags
+        assert "model written: DIR" in flags[1] and "ring-gap" in flags[1]
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [(["evaluate", "--model", "{tmp}/bad.json"], "--manifest"),
+         (["train", "--manifest", "{tmp}/none.csv", "--model", "{tmp}/m.json"],
+          "--registry")],
+        ids=["evaluate-manifest", "train-registry"],
+    )
+    def test_missing_path_is_checked_before_any_file_is_read(
+        self, tmp_path, capsys, argv, missing
+    ):
+        # evaluate's model file and train's manifest are both bad: the missing
+        # path is reported first, as a usage error
+        (tmp_path / "bad.json").write_text("{}")
+        code = run([arg.format(tmp=tmp_path) for arg in argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[0]}: {missing} is required (flag or config file)\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
