@@ -83,13 +83,13 @@ def _load_config_file(args) -> None:
         raise UsageError(f"config file not found: {str(path)!r}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError("config file must contain a JSON object")
     for key, value in doc.items():
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key '{key}'")
+            raise UsageError(f"unknown config key {key!r}")
         kind = _CONFIG_KEYS[key]
         if not (type(value) is kind or (kind is float and type(value) is int)):
             raise UsageError(
@@ -388,36 +388,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    label = "usage"
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-
-    command = args.command
-    try:
+        args = build_parser().parse_args(argv)
+        label = args.command
         _load_config_file(args)
         for name in _REQUIRED:
             if hasattr(args, name) and getattr(args, name) is None:
                 raise UsageError(f"--{name} is required (flag or config file)")
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
-        print(f"error: {command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, exc
     except (
         svm.DegenerateTrainingError,
         svm.ConvergenceError,
         dataset.SynthesisError,
     ) as exc:
-        print(f"error: {command}: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
+        code, error = EXIT_TRAINING, exc
     except (ValueError, OSError) as exc:
         # Covers PGM/manifest/registry/model-format errors and missing files.
-        print(f"error: {command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, error = EXIT_DATA, exc
+    print(f"error: {label}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -534,27 +534,26 @@ def _field(doc, key: str, kind: type, where: str):
 
 
 def _real(value, where: str) -> float:
-    """A JSON number as a finite float; JSON 1e400 and Infinity parse to inf."""
+    """A JSON number as a float, possibly inf or NaN: JSON 1e400 and Infinity
+    parse to inf, as does an integer past the float range. The model types
+    refuse every non-finite value."""
     if type(value) is not float and type(value) is not int:
         raise ModelFormatError(f"{where} must be a real number")
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ModelFormatError(f"{where} is not finite")
-    return value
+        return math.inf
 
 
 def load_model(data: bytes) -> PairwiseModel:
     """Parse a serialized PairwiseModel.
 
     The loader checks what only a file can get wrong: JSON syntax, field
-    presence, exact JSON types (so `true` is not read as 1), finite reals,
-    the format version, and each pair's dual equality constraint (which
-    hand-built stub models may break). Every other invariant is checked by
-    the ModelMeta, SvmModel and PairwiseModel constructors; their errors
-    are raised as ModelFormatError.
+    presence, exact JSON types (so `true` is not read as 1), the format
+    version, and each pair's dual equality constraint (which hand-built stub
+    models may break). Every other invariant, finite reals included, is
+    checked by the ModelMeta, SvmModel and PairwiseModel constructors; their
+    errors are raised as ModelFormatError.
     """
     try:
         doc = json.loads(data.decode("utf-8"))

@@ -1,8 +1,11 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from glyphspect import cli, dataset, evaluation, features, imaging, svm
 from glyphspect.svm import load_model
@@ -870,16 +873,26 @@ class TestConfigFile:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: featurize:")
 
-    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data", [b"\xff", b"[" * 100000, b"1" * 5000],
+        ids=["not-utf8", "deep-nesting", "5000-digit-integer"],
+    )
+    def test_config_not_valid_json_is_usage_error(self, tmp_path, capsys, data):
+        # json.loads refuses the last two with RecursionError and a ValueError
+        # that is not a JSONDecodeError, as in test_svm's
+        # test_unparseable_json_rejected
         out = synth_corpus(tmp_path, count=2)
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(b"\xff")
+        cfg.write_bytes(data)
         code = run(
             ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: featurize: config file")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: featurize: config file is not valid JSON:")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == ""
 
     def test_invalid_m_is_usage_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
@@ -888,3 +901,92 @@ class TestConfigFile:
         )
         assert code == 1
         assert "m must" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["synth", "--out", str(root / "corpus"), "--count", "1"]) == 0
+    return root
+
+
+# The JSON types a config key of each kind accepts: a float key also takes
+# an integer, and no number takes true or false.
+_ACCEPTED = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _is_object(data: bytes) -> bool:
+    try:
+        return isinstance(json.loads(data.decode("utf-8")), dict)
+    except (ValueError, RecursionError):
+        return False
+
+
+def _wrong_kind(key):
+    kinds = _ACCEPTED[cli._CONFIG_KEYS[key]]
+    return _JSON_VALUES.filter(lambda v: type(v) not in kinds).map(lambda v: {key: v})
+
+
+# Never a valid document: a valid {"n": 100000} would have featurize build
+# 100000x100000 masks per glyph.
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=64).filter(lambda b: not _is_object(b)),
+        _JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+        st.dictionaries(
+            st.text(max_size=8).filter(lambda k: k not in cli._CONFIG_KEYS),
+            _JSON_VALUES, min_size=1, max_size=3,
+        ).map(json.dumps),
+        st.sampled_from(sorted(cli._CONFIG_KEYS)).flatmap(_wrong_kind).map(json.dumps),
+    ).map(lambda d: d if isinstance(d, bytes) else d.encode())
+)
+@example(data=b"[" * 100000)
+@example(data=b"1" * 5000)
+def test_config_reader_raises_only_usage_errors(config_dir, data):
+    path = config_dir / "fuzz.json"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(
+            ["featurize", "--manifest", str(config_dir / "corpus" / "manifest.csv"),
+             "--config", str(path)]
+        )
+    assert code == 1
+    lines = err.getvalue().splitlines(keepends=True)
+    assert len(lines) == 1 and lines[0].startswith("error: featurize: ")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(cli.UsageError("boom"), 1),
+     (svm.DegenerateTrainingError("boom"), 3),
+     (svm.ConvergenceError("boom"), 3),
+     (dataset.SynthesisError("boom"), 3),
+     (ValueError("boom"), 2),
+     (OSError("boom"), 2)],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_of_each_error_kind(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_featurize", fail)
+    assert run(["featurize", "--manifest", "manifest.csv"]) == code
+    assert capsys.readouterr() == ("", "error: featurize: boom\n")
+
+
+def test_unexpected_error_propagates(monkeypatch):
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_featurize", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        run(["featurize", "--manifest", "manifest.csv"])
