@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, evaluation, features, imaging, svm
+from . import features, imaging, svm  # all predict needs; the rest load where called
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,6 +165,7 @@ def _featurize_samples(samples, meta: svm.ModelMeta):
 def _score_pairs(pm: svm.PairwiseModel, vectors, labels):
     """(pair, counts, metrics) for each machine, scored on the rows of its
     two classes only."""
+    from . import evaluation
     scored = []
     for mdl in pm.models:
         pair = (mdl.pos_class, mdl.neg_class)
@@ -181,6 +182,7 @@ def _halves(rows, classes, seed: int):
     partition rule, so `evaluate` scores exactly what `train` held out. Only
     labels are read: `train` and `evaluate` decode just the half they use.
     Each class must occur; `split_even` refuses one with a single sample."""
+    from . import dataset
     present = {row.label for row in rows}
     for cls in classes:
         if cls not in present:
@@ -190,6 +192,7 @@ def _halves(rows, classes, seed: int):
 
 
 def cmd_synth(args) -> int:
+    from . import dataset
     meta, _ = _resolve(args)
     out_dir = Path(args.out)
     if args.templates is not None:
@@ -231,6 +234,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    from . import dataset
     meta, _ = _resolve(args)
     samples = dataset.load_manifest(args.manifest)
     vectors, labels = _featurize_samples(samples, meta)
@@ -247,6 +251,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import dataset, evaluation
     meta, params = _resolve(args)
     all_rows = dataset.read_manifest(args.manifest)
     registry = dataset.load_registry(args.registry)
@@ -269,6 +274,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import dataset, evaluation
     pm = svm.load_model(Path(args.model).read_bytes())
     meta = pm.meta
     _, half = _halves(dataset.read_manifest(args.manifest), pm.classes, meta.seed)
@@ -387,6 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _synthesis_error() -> type:
+    """dataset.SynthesisError, imported only once main matches an error."""
+    from . import dataset
+    return dataset.SynthesisError
+
+
 def main(argv=None) -> int:
     label = "usage"
     try:
@@ -404,7 +416,7 @@ def main(argv=None) -> int:
     except (
         svm.DegenerateTrainingError,
         svm.ConvergenceError,
-        dataset.SynthesisError,
+        _synthesis_error(),
     ) as exc:
         code, error = EXIT_TRAINING, exc
     except (ValueError, OSError) as exc:

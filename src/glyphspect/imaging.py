@@ -240,17 +240,6 @@ def binary_to_gray(img: BinaryImage) -> GrayImage:
     return GrayImage._adopt(~img.pixels * np.uint8(255))
 
 
-def _otsu_cut(pixels: np.ndarray) -> int:
-    """The Otsu threshold of one intensity array; -1 for a uniform one, so
-    that no pixel is ink. Two levels have one splitting cut, the lower."""
-    lo, hi = int(pixels.min()), int(pixels.max())
-    if lo == hi:
-        return -1
-    if not np.count_nonzero((pixels > lo) & (pixels < hi)):  # no third level
-        return lo
-    return _otsu_scan(pixels)
-
-
 def _otsu_scan(pixels: np.ndarray) -> int:
     """The Otsu threshold of one intensity array from its histogram."""
     hist = np.bincount(pixels.ravel(), minlength=256)
@@ -292,8 +281,15 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
     distinguishable glyph content: it maps to an all-background mask with
     threshold 0. Two levels have one splitting cut, the lower: no histogram.
     """
-    cut = _otsu_cut(img.pixels)
-    return BinaryImage._adopt(img.pixels <= cut), max(cut, 0)
+    pixels = img.pixels
+    lo, hi = int(pixels.min()), int(pixels.max())
+    above = pixels > lo
+    if lo == hi:  # no ink
+        return BinaryImage._adopt(above), 0
+    if not np.count_nonzero(above & (pixels < hi)):  # no third level: cut at lo
+        return BinaryImage._adopt(~above), lo
+    cut = _otsu_scan(pixels)
+    return BinaryImage._adopt(pixels <= cut), cut
 
 
 def crop_to_bbox(img: BinaryImage) -> BinaryImage:
@@ -336,7 +332,7 @@ def normalize_glyphs(grays: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     thresholds. Raises EmptyGlyphError, `index` the first raster without ink."""
     if n < 1:
         raise ValueError("target size must be a positive integer")
-    # _otsu_cut's rule (int16 cuts compare several times faster than int64 ones);
+    # binarize_otsu's rule (int16 cuts compare several times faster than int64 ones);
     # its cut leaves ink exactly in a raster of two levels or more
     lo, hi = (r(axis=(1, 2), keepdims=True) for r in (grays.min, grays.max))
     inked = (lo < hi).ravel().tolist()  # builtins beat tiny numpy reductions

@@ -577,7 +577,7 @@ def load_model(data: bytes) -> PairwiseModel:
     for entry in _field(doc, "pairs", list, "model"):
         pos = _field(entry, "pos_class", str, "pair")
         neg = _field(entry, "neg_class", str, "pair")
-        where = f"pair {pos}/{neg}"
+        where = f"pair {pos!r}/{neg!r}"  # repr: one line whatever the names hold
         bias = _field(entry, "bias", float, where)
         in_entry = f"{where} support entry"
         component = f"{where}: support component"

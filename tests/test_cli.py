@@ -586,6 +586,25 @@ class TestTrainEvaluatePredict:
         err = capsys.readouterr().err
         assert err.startswith("error: evaluate:") and err.count("\n") == 1
 
+    def test_newline_in_model_class_is_one_line_data_error(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        model = tmp_path / "model.json"
+        run(["train", "--manifest", str(out / "manifest.csv"),
+             "--registry", str(out / "registry.csv"), "--model", str(model)])
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        entry = doc["pairs"][0]
+        entry["pos_class"], entry["bias"] = "ring\nevil", "x"
+        model.write_text(json.dumps(doc))
+        code = run(
+            ["evaluate", "--model", str(model), "--manifest", str(out / "manifest.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: evaluate: pair 'ring\\nevil'/{entry['neg_class']!r}: "
+            "field 'bias' must be a real number\n"
+        )
+
     def test_oversized_manifest_cell_is_one_line_data_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         capsys.readouterr()

@@ -380,6 +380,28 @@ class TestBinarizeOtsu:
             assert mask.pixels.tolist() == otsu_mask(img, t), name
 
     @pytest.mark.parametrize(
+        "w, h, px",
+        [
+            *OTSU_EDGE_RASTERS.values(),
+            *(
+                (96, 96, tuple(random.Random(7).choices(levels, k=96 * 96)))
+                for levels in [(77,), (0, 255), (0, 128, 255), tuple(range(0, 256, 5))]
+            ),
+        ],
+        ids=[*OTSU_EDGE_RASTERS, "96-one", "96-two", "96-three", "96-many"],
+    )
+    def test_mask_equals_compare_at_the_cut(self, w, h, px):
+        # one and two levels reuse the min/max compares for the mask; it must
+        # equal `pixels <= cut` in every bit and in layout, the cut -1 when
+        # the raster is uniform
+        img = GrayImage(w, h, px)
+        mask, t = binarize_otsu(img)
+        expected = img.pixels <= (t if len(set(px)) > 1 else -1)
+        assert mask.pixels.dtype == expected.dtype
+        assert mask.pixels.strides == expected.strides
+        assert np.array_equal(mask.pixels, expected)
+
+    @pytest.mark.parametrize(
         "levels",
         [
             tuple(range(256)),
