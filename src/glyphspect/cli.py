@@ -130,19 +130,10 @@ def _scale_gamma(vectors, m: int) -> float:
     return 1.0 / (2 * m) if var == 0 else 1.0 / (2 * m * var)
 
 
-def _glyph_vector(
-    image: imaging.GrayImage, meta: svm.ModelMeta
-) -> tuple[float, ...]:
-    """Normalize one grayscale glyph and extract its feature vector."""
-    binary, _ = imaging.binarize_otsu(image)
-    squared = imaging.resize_to_square(imaging.crop_to_bbox(binary), meta.n)
-    return features.extract_features(squared, meta.m, normalize=meta.normalize).values
-
-
 def _featurize_samples(samples, meta: svm.ModelMeta):
     """The (N, 2m) feature rows and the labels of the samples, in order, from
-    stacks of _BLOCK same-shape rasters, bit-identical to _glyph_vector; names
-    the first glyph without ink."""
+    stacks of _BLOCK same-shape rasters, bit-identical to the one-glyph calls
+    of cmd_predict; names the first glyph without ink."""
     groups = {}
     for i, sample in enumerate(samples):
         groups.setdefault(sample.image.pixels.shape, []).append(i)
@@ -292,11 +283,14 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     pm = svm.load_model(Path(args.model).read_bytes())
     meta = pm.meta
+    # one-glyph calls, not _featurize_samples: perfbench's trace times these
     try:
         gray = imaging.load_pgm(Path(args.image).read_bytes())
-        vec = _glyph_vector(gray, meta)
+        binary, _ = imaging.binarize_otsu(gray)
+        squared = imaging.resize_to_square(imaging.crop_to_bbox(binary), meta.n)
     except (imaging.PgmParseError, imaging.EmptyGlyphError) as exc:
         raise ValueError(f"{str(args.image)!r}: {exc}") from None
+    vec = features.extract_features(squared, meta.m, normalize=meta.normalize).values
     # not svm.vote on the decisions below: perfbench's trace times this call
     winner, votes = svm.predict_multiclass(pm, vec)
     print(f"predicted: {winner}")

@@ -100,7 +100,8 @@ class SynthParams:
 def _read_csv(
     path: Path, what: str, header: list[str], error: type[ValueError]
 ) -> list[list[str]]:
-    """The data rows of a UTF-8 CSV file that must start with `header`.
+    """The data rows of a UTF-8 CSV file (a leading byte-order mark is
+    ignored, as Excel and Notepad write one) that must start with `header`.
 
     Raises `error` for a missing file, bytes that are not UTF-8, a CSV
     syntax error (such as a cell over the csv module's field limit), a
@@ -109,7 +110,7 @@ def _read_csv(
     if not path.is_file():
         raise error(f"{what} not found: {str(path)!r}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise error(f"{what} {str(path)!r}: {exc}") from None

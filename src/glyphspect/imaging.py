@@ -52,9 +52,10 @@ class _Raster:
     """A width-by-height raster; `pixels` is a read-only (height, width) array.
 
     Caller data, flat (row-major, top row first) or a (height, width) array
-    of integers, is checked and copied; arrays this module makes are handed
-    over read-only, unchecked and uncopied, through `_adopt`. Images compare
-    equal when their type, shape and pixels are equal.
+    of integers in [0, `_top`], is checked and copied as the subclass's
+    `_dtype` (`_noun` names a value in errors); arrays this module makes are
+    handed over read-only, unchecked and uncopied, through `_adopt`. Images
+    compare equal when their type, shape and pixels are equal.
     """
 
     width: int
@@ -71,7 +72,11 @@ class _Raster:
             )
         if arr.dtype.kind not in "biu":
             raise ValueError(f"pixels must be integers, got {arr.dtype}")
-        arr = self._convert(arr).reshape(self.height, self.width)
+        if arr.dtype != self._dtype:
+            worst = arr.min() if arr.min() < 0 else arr.max()
+            if not 0 <= worst <= self._top:
+                raise ValueError(f"{self._noun} {worst} outside [0, {self._top}]")
+        arr = arr.astype(self._dtype).reshape(self.height, self.width)
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -83,11 +88,6 @@ class _Raster:
         img = object.__new__(cls)  # fields set as the frozen __init__ would
         vars(img).update(height=arr.shape[0], width=arr.shape[1], pixels=arr)
         return img
-
-    @staticmethod
-    def _convert(arr: np.ndarray) -> np.ndarray:
-        """Check the value range and return a new array of the image's dtype."""
-        raise NotImplementedError
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -101,25 +101,13 @@ class _Raster:
 class GrayImage(_Raster):
     """8-bit grayscale raster (top row first)."""
 
-    @staticmethod
-    def _convert(arr):
-        if arr.dtype != np.uint8:
-            worst = arr.min() if arr.min() < 0 else arr.max()
-            if not 0 <= worst <= 255:
-                raise ValueError(f"intensity {worst} outside [0, 255]")
-        return arr.astype(np.uint8)
+    _dtype, _top, _noun = np.uint8, 255, "intensity"
 
 
 class BinaryImage(_Raster):
     """Binary raster: True (1) = ink, False (0) = background."""
 
-    @staticmethod
-    def _convert(arr):
-        if arr.dtype != bool:
-            bad = arr[(arr != 0) & (arr != 1)]
-            if bad.size:
-                raise ValueError(f"binary pixel {bad[0]} not in {{0, 1}}")
-        return arr.astype(bool)
+    _dtype, _top, _noun = bool, 1, "binary pixel"
 
     @property
     def ink_count(self) -> int:

@@ -166,26 +166,22 @@ class SvmModel:
             raise ValueError("pos_class and neg_class must differ")
         if not math.isfinite(self.bias):
             raise ValueError("bias must be finite")
-        for row in self.support_x:
-            if len(row) != self.dim:
-                raise ValueError("support vector dimension mismatch")
-            for v in row:
-                if not math.isfinite(v):
-                    raise ValueError("non-finite support vector component")
-        for label in self.support_y:
-            if label not in (-1, 1):
-                raise ValueError(f"label {label} not in {{-1, +1}}")
-        for a in self.alpha:
-            if not math.isfinite(a):
-                raise ValueError("non-finite multiplier")
-            if a <= 0.0:
-                raise ValueError("stored multipliers must be positive")
-            if a > self.c:
-                raise ValueError(f"multiplier {a} exceeds box constraint {self.c}")
-        object.__setattr__(self, "_sv", np.array(self.support_x))
-        object.__setattr__(
-            self, "_coef", np.array(self.alpha) * np.array(self.support_y)
-        )
+        if any(len(row) != self.dim for row in self.support_x):
+            raise ValueError("support vector dimension mismatch")
+        sv, alpha = np.array(self.support_x), np.array(self.alpha)
+        if not np.isfinite(sv).all():
+            raise ValueError("non-finite support vector component")
+        if not {-1, 1}.issuperset(self.support_y):
+            label = next(v for v in self.support_y if v not in (-1, 1))
+            raise ValueError(f"label {label} not in {{-1, +1}}")
+        if not np.isfinite(alpha).all():
+            raise ValueError("non-finite multiplier")
+        if alpha.min() <= 0.0:
+            raise ValueError("stored multipliers must be positive")
+        if (worst := alpha.max()) > self.c:
+            raise ValueError(f"multiplier {worst} exceeds box constraint {self.c}")
+        object.__setattr__(self, "_sv", sv)
+        object.__setattr__(self, "_coef", alpha * np.array(self.support_y))
 
 
 def train_smo(

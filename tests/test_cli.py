@@ -107,6 +107,17 @@ class TestSynth:
         assert err.startswith("error: synth:")
         assert err.strip().count("\n") == 0
 
+    def test_template_dir_without_pgm_files(self, tmp_path, capsys):
+        tdir = tmp_path / "templates"
+        tdir.mkdir()
+        (tdir / "a.txt").write_text("not a template")
+        code = run(["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: synth: no .pgm templates in {str(tdir)!r}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "data, message",
         [(b"P2 2 2 255\n255 255 255 255\n", "empty glyph"),
@@ -261,8 +272,9 @@ class TestTrainEvaluatePredict:
         assert code == 0
         pred = capsys.readouterr().out
         pm = load_model(model.read_bytes())
-        gray = imaging.load_pgm(glyph.read_bytes())
-        vec = cli._glyph_vector(gray, pm.meta)
+        binary, _ = imaging.binarize_otsu(imaging.load_pgm(glyph.read_bytes()))
+        squared = imaging.resize_to_square(imaging.crop_to_bbox(binary), pm.meta.n)
+        vec = features.extract_features(squared, pm.meta.m, pm.meta.normalize).values
         winner, votes = svm.predict_multiclass(pm, vec)
         assert pred.splitlines() == [
             f"predicted: {winner}",

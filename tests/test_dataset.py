@@ -36,6 +36,11 @@ def make_samples(counts):
     return out
 
 
+def test_glyph_sample_needs_a_label():
+    with pytest.raises(ValueError, match="sample label must be non-empty"):
+        GlyphSample(BinaryImage(1, 1, (1,)), "", "x")
+
+
 class TestManifest:
     def write_pgm_file(self, path, value=0):
         path.write_bytes(f"P2 1 1 255\n{value}\n".encode())
@@ -177,6 +182,16 @@ def test_csv_loaders_name_decode_and_csv_errors(tmp_path, load, body, match):
         load(path)
 
 
+@pytest.mark.parametrize("load", [load_manifest, load_registry])
+def test_csv_loaders_ignore_a_leading_byte_order_mark(tmp_path, load):
+    # Excel's "CSV UTF-8" and Windows Notepad start the file with one
+    (tmp_path / "x.pgm").write_bytes(b"P2 1 1 255\n0\n")
+    body = _HEADERS[load] + (b"x.pgm,a\n" if load is load_manifest else b"a,b\n")
+    (tmp_path / "plain.csv").write_bytes(body)
+    (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + body)
+    assert load(tmp_path / "marked.csv") == load(tmp_path / "plain.csv")
+
+
 def test_manifest_overlong_image_path_is_manifest_error(tmp_path):
     (tmp_path / "m.csv").write_text("path,label\n" + "a" * 300 + ",b\n")
     with pytest.raises(ManifestError, match="row 2"):
@@ -247,6 +262,10 @@ class TestSplitEven:
             assert sum(s.label == "a" for s in train) == 4
             assert sum(s.label == "b" for s in train) == 2
             assert sum(s.label == "c" for s in train) == 5
+
+    def test_no_samples(self):
+        with pytest.raises(ValueError, match="no samples to split"):
+            split_even([], 0)
 
     def test_small_class_names_the_class(self):
         with pytest.raises(ValueError, match="'b'"):
@@ -343,6 +362,10 @@ class TestSynthGenerate:
         samples = synth_generate({"dot": template}, params, 4)
         assert len(samples) == 3
         assert all(s.image.ink_count == 16 for s in samples)
+
+    def test_rejects_zero_size(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            synth_generate(builtin_templates(), SynthParams(count=1), 0)
 
     def test_inkless_template_rejected(self):
         with pytest.raises(ValueError, match="no ink"):

@@ -125,6 +125,10 @@ class TestEvaluatePair:
         counts = evaluate_pair(model, [r for r, _ in rows], [l for _, l in rows])
         assert (counts.tp, counts.fn, counts.fp, counts.tn) == (1, 1, 1, 1)
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="features and labels lengths differ"):
+            evaluate_pair(threshold_model(), [(0.0,), (1.0,)], ["good"])
+
     def test_foreign_label_rejected(self):
         model = threshold_model()
         with pytest.raises(ValueError, match="foreign label"):

@@ -20,6 +20,7 @@ from glyphspect.svm import ModelMeta
 from glyphspect.features import (
     FeatureVector,
     ProjectionPair,
+    Spectrum,
     dft,
     extract_features,
     project,
@@ -87,6 +88,16 @@ class TestProjectionPairInvariants:
     def test_rejects_out_of_range_counts(self):
         with pytest.raises(ValueError):
             ProjectionPair((3, 0), (2, 1), 2)
+
+    @pytest.mark.parametrize("h, v", [((1,), (1, 0)), ((1, 0), (1, 0, 0))])
+    def test_rejects_length_other_than_n(self, h, v):
+        with pytest.raises(ValueError, match="projection length does not match n"):
+            ProjectionPair(h, v, 2)
+
+
+def test_spectrum_rejects_no_coefficients():
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        Spectrum(())
 
 
 class TestDft:
@@ -189,6 +200,10 @@ class TestExtractFeatures:
         assert fv.values[0] == pytest.approx(ink, abs=1e-9)
         assert fv.values[n] == pytest.approx(ink, abs=1e-9)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square image, got 3x2$"):
+            extract_features(BinaryImage(3, 2, (0,) * 6), 1)
+
     def test_m_must_not_exceed_n(self):
         with pytest.raises(ValueError):
             extract_features(BinaryImage(2, 2, (1, 0, 0, 1)), 3)
@@ -258,6 +273,10 @@ class TestFeatureVectorInvariants:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             FeatureVector((1.0, -0.5), 1)
+
+    def test_m_must_be_positive(self):
+        with pytest.raises(ValueError, match="m must be positive"):
+            FeatureVector((), 0)
 
 
 @st.composite

@@ -127,6 +127,100 @@ class TestBinaryImage:
         assert BinaryImage(2, 2, (1, 0, 1, 1)).ink_count == 3
 
 
+# A caller's integers of another dtype are cast when all lie in [0, top];
+# otherwise the error names the most extreme value: the least if negative.
+@pytest.mark.parametrize(
+    "cls, dtype, values, worst",
+    [
+        (GrayImage, np.int8, [0, -1, 127], -1),
+        (GrayImage, np.int8, [-128, 5], -128),
+        (GrayImage, np.int64, [0, -1, 255], -1),
+        (GrayImage, np.int64, [0, 256, 255], 256),
+        (GrayImage, np.int64, [300, -5, 0], -5),
+        (GrayImage, np.uint16, [0, 256, 255], 256),
+        (GrayImage, np.uint16, [65535, 0], 65535),
+        (BinaryImage, np.int8, [0, -1, 1], -1),
+        (BinaryImage, np.int8, [0, 2, 1], 2),
+        (BinaryImage, np.int64, [0, -1, 1], -1),
+        (BinaryImage, np.int64, [0, 2, 1], 2),
+        (BinaryImage, np.int64, [3, -1, 0], -1),
+        (BinaryImage, np.uint16, [0, 2, 1], 2),
+    ],
+)
+def test_raster_rule_names_the_value_outside_the_range(cls, dtype, values, worst):
+    noun, top = ("intensity", 255) if cls is GrayImage else ("binary pixel", 1)
+    with pytest.raises(ValueError, match=rf"^{noun} {worst} outside \[0, {top}\]$"):
+        cls(len(values), 1, np.array(values, dtype=dtype))
+
+
+@pytest.mark.parametrize(
+    "cls, pixels",
+    [
+        (GrayImage, np.array([[0, 7], [200, 255]], dtype=np.uint8)),
+        (BinaryImage, np.array([[True, False], [False, True]])),
+    ],
+    ids=["gray-uint8", "binary-bool"],
+)
+def test_raster_of_its_own_dtype_is_copied_unchanged(cls, pixels):
+    img = cls(2, 2, pixels)
+    assert img.pixels.dtype == pixels.dtype
+    assert np.array_equal(img.pixels, pixels)
+    assert not np.shares_memory(img.pixels, pixels)
+
+
+def test_gray_image_of_bools_holds_zero_and_one():
+    img = GrayImage(3, 1, np.array([True, False, True]))
+    assert img.pixels.dtype == np.uint8 and img.pixels.tolist() == [[1, 0, 1]]
+
+
+def old_gray_rule(arr):
+    """GrayImage's conversion before the raster types shared one rule."""
+    if arr.dtype != np.uint8:
+        worst = arr.min() if arr.min() < 0 else arr.max()
+        if not 0 <= worst <= 255:
+            raise ValueError(f"intensity {worst} outside [0, 255]")
+    return arr.astype(np.uint8)
+
+
+def old_binary_rule(arr):
+    """BinaryImage's conversion before the raster types shared one rule."""
+    if arr.dtype != bool:
+        bad = arr[(arr != 0) & (arr != 1)]
+        if bad.size:
+            raise ValueError(f"binary pixel {bad[0]} not in {{0, 1}}")
+    return arr.astype(bool)
+
+
+def _raster_values(dtype):
+    if dtype is bool:
+        return st.booleans()
+    info = np.iinfo(dtype)
+    near = st.one_of(st.integers(-2, 3), st.integers(253, 258))
+    near = near.filter(lambda v: info.min <= v <= info.max)
+    return st.one_of(near, st.integers(int(info.min), int(info.max)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    data=st.sampled_from([np.int8, np.int64, np.uint16, bool]).flatmap(
+        lambda dtype: st.lists(_raster_values(dtype), min_size=1, max_size=6).map(
+            lambda values: np.array(values, dtype=dtype)
+        )
+    )
+)
+def test_raster_types_accept_what_the_old_rules_accepted(data):
+    for cls, old_rule in ((GrayImage, old_gray_rule), (BinaryImage, old_binary_rule)):
+        try:
+            expected = old_rule(data)
+        except ValueError:
+            with pytest.raises(ValueError, match="outside"):
+                cls(len(data), 1, data)
+            continue
+        img = cls(len(data), 1, data)
+        assert img.pixels.dtype == expected.dtype
+        assert img.pixels.ravel().tolist() == expected.tolist()
+
+
 class TestImageValueSemantics:
     def test_equal_by_shape_and_pixels(self):
         flat = GrayImage(2, 2, (1, 2, 3, 4))
@@ -210,6 +304,10 @@ class TestLoadPgm:
     def test_zero_height(self):
         with pytest.raises(PgmParseError, match="height"):
             load_pgm(b"P2 2 0 255\n")
+
+    def test_zero_maxval(self):
+        with pytest.raises(PgmParseError, match="^maxval must be positive, got 0$"):
+            load_pgm(b"P2 1 1 0\n0\n")
 
     def test_non_numeric_dimension(self):
         with pytest.raises(PgmParseError, match="width"):
@@ -588,6 +686,10 @@ class TestNormalizeGlyphs:
     def test_empty_stack(self):
         masks, thresholds = normalize_glyphs(np.zeros((0, 5, 2), dtype=np.uint8), 3)
         assert masks.shape == (0, 3, 3) and thresholds == []
+
+    def test_rejects_zero_target_size(self):
+        with pytest.raises(ValueError, match="target size must be a positive integer"):
+            normalize_glyphs(np.zeros((1, 2, 2), dtype=np.uint8), 0)
 
 
 class TestHandedOverImages:

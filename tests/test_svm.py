@@ -104,6 +104,10 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             TrainingSet(((0.0,),), (-1, 1))
 
+    def test_rejects_empty_set(self):
+        with pytest.raises(ValueError, match="training set is empty"):
+            TrainingSet((), ())
+
 
 class TestTrainSmo:
     def test_separable_pair(self):
@@ -237,6 +241,12 @@ class TestDecision:
         with pytest.raises(ValueError, match="dimension"):
             decision(model, (1.0,))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_batch_rows_of_the_wrong_width(self, width):
+        model = stub_model("a", "b", +1, dim=2)
+        with pytest.raises(ValueError, match=f"expected 2, got {width}"):
+            svm.decisions(model, [[0.0] * width] * 3)
+
     def test_reordering_support_vectors_preserves_decision(self):
         rng = random.Random(50)
         pts = tuple(
@@ -333,6 +343,41 @@ class TestSvmModelValidation:
                 c=10.0,
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(alpha=(1.0,)), "support vectors, labels, and alphas must align"),
+            (dict(support_y=(1, -1, 1)), "support vectors, labels, and alphas must align"),
+            (dict(support_x=((0.0, 1.0), (math.inf, 0.0))),
+             "non-finite support vector component"),
+            (dict(support_x=((math.nan, 1.0), (1.0, 0.0))),
+             "non-finite support vector component"),
+            # every row's length is checked before any value
+            (dict(support_x=((math.inf, 1.0), (1.0,))), "support vector dimension mismatch"),
+            (dict(support_y=(1, 0)), r"label 0 not in \{-1, \+1\}"),
+            (dict(support_y=(2, 0)), r"label 2 not in \{-1, \+1\}"),
+            (dict(alpha=(1.0, math.nan)), "non-finite multiplier"),
+            (dict(alpha=(math.inf, 1.0)), "non-finite multiplier"),
+            # all multipliers for finiteness, then sign, then box
+            (dict(alpha=(-1.0, math.nan)), "non-finite multiplier"),
+            (dict(alpha=(20.0, 0.0)), "stored multipliers must be positive"),
+            (dict(alpha=(11.0, 12.5)), r"multiplier 12.5 exceeds box constraint 10.0"),
+        ],
+        ids=[
+            "short-alpha", "long-labels", "inf-component", "nan-component",
+            "row-length-first", "label-0", "first-bad-label", "nan-alpha",
+            "inf-alpha", "finite-before-sign", "sign-before-box", "largest-over-box",
+        ],
+    )
+    def test_built_directly_rejects(self, fields, message):
+        args = dict(
+            support_x=((0.0, 1.0), (1.0, 0.0)), support_y=(1, -1), alpha=(1.0, 1.0),
+            bias=0.0, gamma=1.0, dim=2, pos_class="a", neg_class="b", c=10.0,
+        )
+        SvmModel(**args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SvmModel(**{**args, **fields})
+
     def test_same_class_names_rejected(self):
         with pytest.raises(ValueError):
             stub_model("a", "a", +1)
@@ -369,6 +414,20 @@ class TestPairwiseModelValidation:
         models = tuple(stub_model(pos, neg, +1) for pos, neg in pairs)
         with pytest.raises(ValueError):
             PairwiseModel(models, classes)
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (dict(dim=2), "pair machines disagree on feature dimension"),
+            (dict(gamma=2.0), "pair machines disagree on kernel parameters"),
+            (dict(c=5.0), "pair machines disagree on kernel parameters"),
+        ],
+        ids=["dimension", "gamma", "c"],
+    )
+    def test_machines_must_share_dimension_and_kernel(self, second, message):
+        models = (stub_model("a", "b", +1), stub_model("c", "d", +1, **second))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PairwiseModel(models, ("a", "b", "c", "d"))
 
 
 def four_class_samples(rng, per_class=4):
@@ -413,6 +472,10 @@ class TestTrainPairwise:
     def test_fewer_than_two_classes(self):
         with pytest.raises(DegenerateTrainingError):
             train_pairwise([(0.0,), (1.0,)], ["a", "a"], KernelParams(gamma=1.0), 0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="features and labels lengths differ"):
+            train_pairwise([(0.0,), (1.0,)], ["a", "b", "b"], KernelParams(gamma=1.0), 0)
 
     def test_22_classes_all_pairs_vs_restricted(self):
         rng = random.Random(63)
@@ -633,6 +696,11 @@ class TestSerialization:
             sv["y"] = sv["y"] > 0
         with pytest.raises(ModelFormatError, match="'y' must be an integer"):
             load_model(self._mutate(boolean))
+
+    def test_non_string_class_name_rejected(self):
+        data = self._mutate(lambda d: d["classes"].__setitem__(0, 1))
+        with pytest.raises(ModelFormatError, match="classes must be a list of names"):
+            load_model(data)
 
     def test_meta_dimension_mismatch_rejected(self):
         data = self._mutate(lambda d: d.update(m=2))
