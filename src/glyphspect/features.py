@@ -7,11 +7,14 @@ vector. Magnitudes make the features invariant to cyclic shifts of the
 projection signals, so small in-frame translations of a glyph barely move
 its feature vector.
 
-`feature_rows` computes the vectors of an (N, n, n) stack of glyphs in one
-FFT; `extract_features` runs the same helpers on one glyph.
+`feature_rows` computes the vectors of an (N, n, n) stack of glyphs in
+whole-array steps; `extract_features` runs the same helpers on one glyph.
+The DFT is each signal's own product with a cached matrix of cos and -sin
+values, so a stack, one glyph and `dft` of one signal agree bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,27 +109,58 @@ def project(img: BinaryImage) -> ProjectionPair:
     return ProjectionPair(img.pixels.sum(axis=1), img.pixels.sum(axis=0), img.width)
 
 
+@functools.lru_cache(maxsize=8)
+def _ones(n: int) -> np.ndarray:
+    return _frozen(np.ones(n), np.float64)
+
+
+@functools.lru_cache(maxsize=8)
+def _basis(n: int) -> np.ndarray:
+    """The read-only (n, 2n) DFT matrix: column 2k holds cos(2*pi*k*t/n) and
+    column 2k+1 holds -sin(2*pi*k*t/n), exactly 0 or +-1 at quarter turns."""
+    turns = np.outer(np.arange(n), np.arange(n)) % n  # k*t reduced: exact angles
+    angle = (2 * np.pi / n) * turns
+    basis = np.empty((n, n, 2))
+    basis[..., 0], basis[..., 1] = np.cos(angle), -np.sin(angle)
+    quarter = 4 * turns % n == 0
+    basis[quarter] = np.rint(basis[quarter]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return _frozen(basis.reshape(n, 2 * n), np.float64)
+
+
+def _dft(signals: np.ndarray) -> np.ndarray:
+    """The DFT of each length-n row of a C-contiguous float64 array, as
+    (..., 2n) interleaved real and imaginary parts. Each row is its own
+    (1, n) @ (n, 2n) product, so its coefficients are the same bits whatever
+    batch it is in (one (k, n) @ (n, 2n) product would round differently)."""
+    *lead, n = signals.shape
+    return (signals.reshape(*lead, 1, n) @ _basis(n)).reshape(*lead, 2 * n)
+
+
 def dft(signal: Sequence[float]) -> Spectrum:
     """Discrete Fourier transform of a real signal.
 
-    Coefficient k is sum_t s(t) * exp(-2j*pi*k*t/N). Computed with an FFT;
-    signals here are short (N <= 64) so either route is exact to rounding.
+    Coefficient k is sum_t s(t) * exp(-2j*pi*k*t/N), computed directly as one
+    product with a cached N-by-2N matrix of cos and -sin values: O(N^2) time
+    and 16*N^2 bytes per distinct N, with the matrices of the last 8 lengths
+    kept (an lru_cache). For glyph projections (N of a few dozen) that costs
+    less than an FFT call, and agrees with one to rounding.
     """
     if len(signal) == 0:
         raise ValueError("empty signal")
-    return Spectrum(np.fft.fft(np.asarray(signal, dtype=np.float64)))
+    return Spectrum(_dft(np.array(signal, dtype=np.float64)).view(np.complex128))
 
 
-def _magnitudes(coeffs: np.ndarray) -> np.ndarray:
-    # |c| by hypot, as abs(complex) does; np.abs can differ in the last bit
-    return np.hypot(coeffs.real, coeffs.imag)
+def _magnitudes(pairs: np.ndarray) -> np.ndarray:
+    """|c| of interleaved (re, im) pairs on the last axis. hypot, as
+    abs(complex) takes; np.abs can differ in the last bit."""
+    return np.hypot(pairs[..., 0::2], pairs[..., 1::2])
 
 
 def truncate_spectrum(spec: Spectrum, m: int) -> tuple[float, ...]:
     """Keep the magnitudes of the lowest m coefficients."""
     if not 1 <= m <= len(spec):
         raise ValueError(f"m must satisfy 1 <= m <= {len(spec)}, got {m}")
-    return tuple(_magnitudes(spec.coeffs[:m]).tolist())
+    return tuple(_magnitudes(spec.coeffs[:m].view(np.float64)).tolist())
 
 
 def _spectra(masks: np.ndarray, m: int) -> np.ndarray:
@@ -137,11 +171,11 @@ def _spectra(masks: np.ndarray, m: int) -> np.ndarray:
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= {n}, got {m}")
     # exact 0/1 sums; bool sums cast inside the reduction at twice the cost
-    ink, ones = masks.astype(np.float64), np.ones(n)
+    ink, ones = masks.astype(np.float64), _ones(n)
     signals = np.empty((*lead, 2, n))
     np.matmul(ink, ones, out=signals[..., 0, :])
     np.matmul(ones, ink, out=signals[..., 1, :])
-    return _magnitudes(np.fft.fft(signals)[..., :m]).reshape(*lead, 2 * m)
+    return _magnitudes(_dft(signals)[..., : 2 * m]).reshape(*lead, 2 * m)
 
 
 def _l2_norm(squares: list[float]) -> float:
@@ -167,7 +201,8 @@ def extract_features(
     Optionally L2-normalizes the final vector; off by default since the
     fixed square resize already standardizes scale.
     """
-    row = _spectra(img.pixels, m)
-    if normalize:
-        row /= _l2_norm(np.square(row).tolist())
-    return FeatureVector._adopt(tuple(row.tolist()), m)
+    values = _spectra(img.pixels, m).tolist()
+    if normalize:  # Python floats: numpy's per-call cost outweighs 2m values
+        norm = _l2_norm([v * v for v in values])
+        values = [v / norm for v in values]
+    return FeatureVector._adopt(tuple(values), m)

@@ -54,8 +54,10 @@ class _Raster:
     Caller data, flat (row-major, top row first) or a (height, width) array
     of integers in [0, `_top`], is checked and copied as the subclass's
     `_dtype` (`_noun` names a value in errors); arrays this module makes are
-    handed over read-only, unchecked and uncopied, through `_adopt`. Images
-    compare equal when their type, shape and pixels are equal.
+    handed over read-only, unchecked and uncopied, through `_adopt`. Caller
+    data that breaks these rules raises ValueError, a width or height that
+    is not a number TypeError. Images compare equal when their type, shape
+    and pixels are equal.
     """
 
     width: int

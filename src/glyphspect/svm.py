@@ -14,6 +14,7 @@ predicts by majority vote, with one kernel value per support vector.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -66,11 +67,42 @@ class ModelFormatError(ValueError):
     """A serialized model violates the file schema or a stored invariant."""
 
 
+def _float(value) -> float:
+    """float(value) of a number; an integer past the float range becomes
+    +-inf, which every model type refuses, instead of raising OverflowError.
+    Text raises TypeError, as the comparisons with a bare value did."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _floats(values) -> tuple[float, ...]:
+    """float() of each value; _float() of each once one overflows."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return tuple(map(_float, values))
+
+
+def _labels(values) -> tuple[int, ...]:
+    """Labels in {-1, +1} as ints; a value equal to neither (2, 0.5, inf,
+    "1") raises ValueError."""
+    labels = tuple(values)
+    for label in labels:
+        if label not in (-1, 1):
+            raise ValueError(f"label {label} not in {{-1, +1}}")
+    return tuple(map(int, labels))
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """RBF width and box constraint, each positive and finite: the one home
     of that rule, which SvmModel and rbf_kernel reuse. `kkt_tol`, the SMO
-    stopping tolerance, is a constant."""
+    stopping tolerance, is a constant. A value outside the rule raises
+    ValueError, one that is not a number TypeError."""
 
     gamma: float
     c: float = 10.0
@@ -78,15 +110,17 @@ class KernelParams:
 
     def __post_init__(self):
         for name in ("gamma", "c"):
-            if not 0.0 < getattr(self, name) < math.inf:  # also refuses NaN
+            value = _float(getattr(self, name))
+            if not 0.0 < value < math.inf:  # also refuses NaN
                 raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, value)
 
 
 def rbf_kernel(x: Sequence[float], y: Sequence[float], gamma: float) -> float:
     """exp(-gamma * ||x - y||^2); equals 1 at zero distance."""
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    KernelParams(gamma)
+    gamma = KernelParams(gamma).gamma
     d2 = 0.0
     for a, b in zip(x, y):
         diff = a - b
@@ -96,23 +130,22 @@ def rbf_kernel(x: Sequence[float], y: Sequence[float], gamma: float) -> float:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Feature rows with labels in {-1, +1}; both labels must occur."""
+    """Finite feature rows of one length with labels in {-1, +1}; both
+    labels must occur. A value outside these rules raises ValueError, one
+    of the wrong type (a row that is not a sequence) TypeError."""
 
     x: tuple[tuple[float, ...], ...]
     y: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "x", tuple(tuple(float(v) for v in row) for row in self.x)
-        )
-        object.__setattr__(self, "y", tuple(int(v) for v in self.y))
+        object.__setattr__(self, "x", tuple(map(_floats, self.x)))
+        object.__setattr__(self, "y", _labels(self.y))
         if len(self.x) != len(self.y):
             raise ValueError("x and y lengths differ")
         if not self.x:
             raise ValueError("training set is empty")
-        for label in self.y:
-            if label not in (-1, 1):
-                raise ValueError(f"label {label} not in {{-1, +1}}")
+        if not all(map(math.isfinite, itertools.chain.from_iterable(self.x))):
+            raise ValueError("non-finite feature value")
         dim = len(self.x[0])
         for row in self.x:
             if len(row) != dim:
@@ -133,7 +166,8 @@ class SvmModel:
 
     Only structural invariants are enforced here (hand-built stub models are
     legitimate for testing); the dual equality constraint is asserted by the
-    trainer and validated by the model-file loader.
+    trainer and validated by the model-file loader. A value that breaks an
+    invariant raises ValueError, one of the wrong type TypeError.
     """
 
     support_x: tuple[tuple[float, ...], ...]
@@ -150,18 +184,17 @@ class SvmModel:
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "support_x",
-            tuple(tuple(float(v) for v in row) for row in self.support_x),
-        )
-        object.__setattr__(self, "support_y", tuple(int(v) for v in self.support_y))
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        object.__setattr__(self, "support_x", tuple(map(_floats, self.support_x)))
+        object.__setattr__(self, "support_y", _labels(self.support_y))
+        object.__setattr__(self, "alpha", _floats(self.alpha))
+        object.__setattr__(self, "bias", _float(self.bias))
         if not (len(self.support_x) == len(self.support_y) == len(self.alpha) >= 1):
             raise ValueError("support vectors, labels, and alphas must align")
         if self.dim < 1:
             raise ValueError("feature dimension must be positive")
-        KernelParams(self.gamma, self.c)
+        params = KernelParams(self.gamma, self.c)
+        object.__setattr__(self, "gamma", params.gamma)
+        object.__setattr__(self, "c", params.c)
         if self.pos_class == self.neg_class:
             raise ValueError("pos_class and neg_class must differ")
         if not math.isfinite(self.bias):
@@ -171,9 +204,6 @@ class SvmModel:
         sv, alpha = np.array(self.support_x), np.array(self.alpha)
         if not np.isfinite(sv).all():
             raise ValueError("non-finite support vector component")
-        if not {-1, 1}.issuperset(self.support_y):
-            label = next(v for v in self.support_y if v not in (-1, 1))
-            raise ValueError(f"label {label} not in {{-1, +1}}")
         if not np.isfinite(alpha).all():
             raise ValueError("non-finite multiplier")
         if alpha.min() <= 0.0:
@@ -287,13 +317,19 @@ def train_smo(
     )
 
 
+# a . b over the last axis, each row summed alone: a (S, d) @ (d,) product
+# would round a row by its place among the S, and a stack of machines would
+# then not match decision(). np.vecdot (numpy >= 2.0) skips einsum's parse.
+_row_dots = getattr(np, "vecdot", None) or functools.partial(np.einsum, "...d,...d->...")
+
+
 def _kernel(sv: np.ndarray, x: Sequence[float], gamma: float) -> np.ndarray:
     """K(s, x) for each row s of `sv`: (S,) for one row x, (R, S) for (R, 1, d) x."""
     x, dim = np.asarray(x, dtype=float), sv.shape[1]
     if x.shape[-1] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {x.shape[-1]}")
     diff = sv - x
-    k = np.einsum("...d,...d->...", diff, diff)
+    k = _row_dots(diff, diff)
     k *= -gamma
     return np.exp(k, out=k)
 
@@ -318,7 +354,7 @@ def decisions(model: SvmModel, rows: Sequence[Sequence[float]]) -> np.ndarray:
 def decision(model: SvmModel, x: Sequence[float]) -> float:
     """sum_i alpha_i * y_i * K(s_i, x) + bias; decisions() on one row,
     without the batch axes."""
-    return float(_kernel(model._sv, x, model.gamma) @ model._coef + model.bias)
+    return float(_kernel(model._sv, x, model.gamma) @ model._coef) + model.bias
 
 
 def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
@@ -329,7 +365,8 @@ def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
 @dataclass(frozen=True)
 class ModelMeta:
     """Pipeline facts baked into a model file: raster side, coefficient count,
-    the split seed, and whether feature vectors were L2-normalized."""
+    the split seed, and whether feature vectors were L2-normalized. A side or
+    count out of range raises ValueError, one that is not a number TypeError."""
 
     n: int
     m: int
@@ -347,7 +384,8 @@ class ModelMeta:
 class PairRegistry:
     """The confusable pairs: (correct_class, error_class) rows, the first
     bound to +1. The one home of the pair-list rules: at least one pair,
-    non-empty and distinct names, no unordered pair twice."""
+    non-empty and distinct names, no unordered pair twice. A list that breaks
+    them raises ValueError, one whose rows are not sequences TypeError."""
 
     pairs: tuple[tuple[str, str], ...]
 
@@ -469,7 +507,7 @@ def vote(pm: PairwiseModel, values: Sequence[float]) -> tuple[str, dict[str, int
 def _decision_values(pm: PairwiseModel, x: Sequence[float]) -> list[float]:
     """decision() of every pair machine, bit for bit, from one kernel row."""
     k = _kernel(pm._sv, x, pm.models[0].gamma)
-    return [float(k[a:b] @ m._coef + m.bias) for m, (a, b) in zip(pm.models, pm._spans)]
+    return [float(k[a:b] @ m._coef) + m.bias for m, (a, b) in zip(pm.models, pm._spans)]
 
 
 def predict_multiclass(
@@ -535,10 +573,7 @@ def _real(value, where: str) -> float:
     refuse every non-finite value."""
     if type(value) is not float and type(value) is not int:
         raise ModelFormatError(f"{where} must be a real number")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return math.inf
+    return _float(value)
 
 
 def load_model(data: bytes) -> PairwiseModel:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glyphspect import cli
+from glyphspect import cli, features
 from glyphspect.dataset import GlyphSample
 from glyphspect.imaging import (
     BinaryImage,
@@ -23,6 +23,7 @@ from glyphspect.features import (
     Spectrum,
     dft,
     extract_features,
+    feature_rows,
     project,
     truncate_spectrum,
 )
@@ -159,6 +160,32 @@ class TestDft:
         for k in range(1, 16):
             assert abs(coeffs[k] - coeffs[16 - k].conjugate()) <= 1e-9
 
+    def test_matches_numpy_fft(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 129):
+            sig = rng.uniform(-5, 5, size=n)
+            got, want = dft(sig).coeffs, np.fft.fft(sig)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_same_bits_from_any_container(self):
+        ints = np.random.default_rng(24).integers(0, 40, size=40)
+        strided = np.zeros(80)[::2]  # a non-contiguous float view
+        strided[:] = ints
+        spectra = [dft(sig).coeffs for sig in (ints.tolist(), ints, strided)]
+        assert all(s.tobytes() == spectra[0].tobytes() for s in spectra)
+
+    def test_cached_matrix_is_read_only(self):
+        dft([1.0, 2.0, 3.0])
+        basis = features._basis(3)
+        assert basis.shape == (3, 6) and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
+
+    def test_quarter_turns_are_exact(self):
+        even_k = features._basis(8).reshape(8, 8, 2)[:, ::2]  # 2*pi*k*t/8 at k = 0, 2, 4, 6
+        assert set(even_k.ravel().tolist()) == {-1.0, 0.0, 1.0}
+        assert dft([0, 1, 0, -1]).coeffs.tolist() == [0j, -2j, 0j, 2j]
+
 
 class TestTruncateSpectrum:
     def test_constant_signal(self):
@@ -263,6 +290,17 @@ class TestExtractFeatures:
                     ref = tuple(v / norm for v in ref)
             got = extract_features(img, m, normalize).values
             assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_stack_of_96x96_glyphs_equals_one_glyph_calls(self, normalize):
+        rng = np.random.default_rng(33)
+        masks = rng.random((12, 96, 96)) < rng.uniform(0.05, 0.6, size=(12, 1, 1))
+        masks[0] = False  # an inkless glyph keeps its zeros
+        rows = feature_rows(masks, 48, normalize)
+        for mask, row in zip(masks, rows.tolist()):
+            want = extract_features(BinaryImage(96, 96, mask), 48, normalize).values
+            assert [v.hex() for v in row] == [v.hex() for v in want]
 
 
 class TestFeatureVectorInvariants:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import glyphspect
 from glyphspect import cli, dataset, evaluation, features, imaging, svm
 
@@ -83,3 +85,24 @@ def test_predict_loads_only_the_modules_it_runs(tmp_path):
         "glyphspect", "glyphspect.cli", "glyphspect.features",
         "glyphspect.imaging", "glyphspect.svm",
     ]
+
+
+def test_predict_does_not_load_numpy_fft(tmp_path):
+    """The features' DFT is a matrix product; numpy 1.x loads numpy.fft with
+    numpy itself, so there is nothing to check."""
+    numpy_alone = "import sys, numpy; print(['numpy.fft' in sys.modules])"
+    if fresh_interpreter(numpy_alone) == [True]:
+        pytest.skip("`import numpy` alone loads numpy.fft")
+    corpus, model = tmp_path / "corpus", tmp_path / "model.json"
+    assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
+    assert cli.main(
+        ["train", "--manifest", str(corpus / "manifest.csv"),
+         "--registry", str(corpus / "registry.csv"), "--model", str(model)]
+    ) == 0
+    loaded = fresh_interpreter(
+        "import sys; from glyphspect.cli import main; "
+        "assert main(['predict', '--model', sys.argv[1], sys.argv[2]]) == 0; "
+        "print(['numpy.fft' in sys.modules])",
+        str(model), str(sorted(corpus.glob("*.pgm"))[0]),
+    )
+    assert loaded == [False]

@@ -791,6 +791,37 @@ def test_one_row_decision_equals_batch_on_edge_shapes(support, dim):
     ]
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(1, 45), min_size=2, max_size=4),
+    dim=st.sampled_from([8, 32, 33]),
+)
+def test_kernel_row_of_every_machine_equals_decision(seed, counts, dim):
+    """The feature widths the pipeline makes (2m = 32): a row sum whose
+    rounding depends on the machine's place in the stack would show here."""
+    rng = np.random.default_rng(seed)
+    classes = [f"c{i}" for i in range(2 * len(counts))]
+    models = tuple(
+        SvmModel(
+            support_x=rng.normal(size=(count, dim)).tolist(),
+            support_y=rng.choice([-1, 1], size=count).tolist(),
+            alpha=rng.uniform(0.01, 1.0, size=count).tolist(),
+            bias=float(rng.normal()),
+            gamma=0.05,
+            dim=dim,
+            pos_class=classes[2 * i],
+            neg_class=classes[2 * i + 1],
+            c=1.0,
+        )
+        for i, count in enumerate(counts)
+    )
+    pm = PairwiseModel(models, tuple(classes))
+    for x in rng.normal(size=(5, dim)).tolist():
+        values = [decision(mdl, x) for mdl in pm.models]
+        assert [v.hex() for v in svm._decision_values(pm, x)] == [v.hex() for v in values]
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

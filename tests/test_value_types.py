@@ -1,0 +1,92 @@
+"""The public value types refuse bad input only with the errors their
+docstrings name."""
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from glyphspect.imaging import BinaryImage, GrayImage
+from glyphspect.svm import (
+    KernelParams,
+    ModelMeta,
+    PairRegistry,
+    SvmModel,
+    TrainingSet,
+    rbf_kernel,
+)
+
+# one valid positional argument list per constructor
+VALID = {
+    GrayImage: (2, 1, [0, 255]),
+    BinaryImage: (1, 2, [[1], [0]]),
+    TrainingSet: ([[0.0, 1.0], [1.0, 0.5]], [1, -1]),
+    KernelParams: (0.5, 10.0),
+    ModelMeta: (4, 2, 0, True),
+    SvmModel: ([[0.0, 1.0], [1.0, 0.0]], [1, -1], [0.5, 0.5], 0.0, 1.0, 2, "a", "b", 10.0),
+    PairRegistry: ([("a", "b"), ("c", "d")],),
+}
+# integers past the float range, non-finite floats, bools, and ordinary
+# values of the wrong kind
+BAD = st.sampled_from(
+    [10**400, -(10**400), math.nan, math.inf, -math.inf, True, False,
+     2**63, -1, 0, 1.5, None, "x", "1"]
+)
+# bad values nested into sequences of the wrong shape
+SHAPES = st.recursive(
+    BAD, lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=6
+)
+
+
+def leaf_paths(value, path=()):
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from leaf_paths(item, path + (i,))
+    else:
+        yield path
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    items = list(value)
+    items[path[0]] = replaced(items[path[0]], path[1:], new)
+    return type(value)(items)
+
+
+def named_errors(cls) -> tuple[type, ...]:
+    """ValueError and TypeError, each as far as a docstring of the class names it."""
+    docs = " ".join(k.__doc__ for k in cls.__mro__ if k.__module__.startswith("glyphspect"))
+    return tuple(e for e in (ValueError, TypeError) if e.__name__ in docs)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(list(VALID)), st.data())
+def test_constructors_raise_only_their_named_errors(cls, data):
+    args = list(VALID[cls])
+    index = data.draw(st.integers(0, len(args) - 1))
+    if data.draw(st.booleans()):
+        args[index] = data.draw(SHAPES)
+    else:
+        path = data.draw(st.sampled_from(list(leaf_paths(args[index]))))
+        args[index] = replaced(args[index], path, data.draw(BAD))
+    try:
+        cls(*args)
+    except named_errors(cls):
+        pass
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SvmModel(((10**400,),), (1,), (1.0,), 0.0, 1.0, 1, "a", "b", 10.0),
+        lambda: SvmModel(((0.0,),), (1,), (10**400,), 0.0, 1.0, 1, "a", "b", 10.0),
+        lambda: SvmModel(((0.0,),), (1,), (1.0,), -(10**400), 1.0, 1, "a", "b", 10.0),
+        lambda: TrainingSet(((10**400,), (0,)), (1, -1)),
+        lambda: rbf_kernel((0.0,), (1.0,), 10**400),
+        lambda: KernelParams(10**400, 1.0),
+    ],
+    ids=["support", "alpha", "bias", "training-row", "rbf-gamma", "kernel-gamma"],
+)
+def test_an_integer_past_the_float_range_is_a_value_error(make):
+    with pytest.raises(ValueError, match="finite|box constraint"):
+        make()
