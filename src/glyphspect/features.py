@@ -96,7 +96,7 @@ class FeatureVector:
     def _adopt(cls, values: tuple[float, ...], m: int) -> FeatureVector:
         """2m float magnitudes this module has just computed, unchecked."""
         vec = object.__new__(cls)  # fields set as the frozen __init__ would
-        vars(vec).update(values=values, m=m)
+        vec.__dict__["values"], vec.__dict__["m"] = values, m
         return vec
 
 
@@ -201,8 +201,7 @@ def extract_features(
     Optionally L2-normalizes the final vector; off by default since the
     fixed square resize already standardizes scale.
     """
-    values = _spectra(img.pixels, m).tolist()
-    if normalize:  # Python floats: numpy's per-call cost outweighs 2m values
-        norm = _l2_norm([v * v for v in values])
-        values = [v / norm for v in values]
-    return FeatureVector._adopt(tuple(values), m)
+    values = _spectra(img.pixels, m)
+    if normalize:
+        values /= _l2_norm(np.square(values).tolist())
+    return FeatureVector._adopt(tuple(values.tolist()), m)

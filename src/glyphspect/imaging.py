@@ -88,7 +88,8 @@ class _Raster:
         other code holds a writable reference to."""
         arr.setflags(write=False)
         img = object.__new__(cls)  # fields set as the frozen __init__ would
-        vars(img).update(height=arr.shape[0], width=arr.shape[1], pixels=arr)
+        img.__dict__["height"], img.__dict__["width"] = arr.shape
+        img.__dict__["pixels"] = arr
         return img
 
     def __eq__(self, other):
@@ -175,7 +176,7 @@ def load_pgm(data: bytes) -> GrayImage:
         values = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1)
     else:
         # Plain format: strip comments, then whitespace-separated decimals.
-        text = _COMMENT.sub(b"", data[pos:])
+        text = _COMMENT.sub(b"", data[pos:]) if b"#" in data else data[pos:]
         valid = not text.translate(None, _SAMPLE_BYTES)
         if valid and text.strip():  # fromstring reads a blank text as [0]
             values = np.fromstring(text, dtype=np.int64, sep=" ")
@@ -204,8 +205,8 @@ def load_pgm(data: bytes) -> GrayImage:
             except (OverflowError, ValueError):  # past int64, or too many digits
                 raise PgmParseError(f"pixel value exceeds maxval {maxval}") from None
         raise PgmParseError(f"pixel value {worst} exceeds maxval {maxval}")
-    # in [0, 255] now; a P5 image views `data`, immutable bytes
-    values = values.astype(np.uint8, copy=False)
+    if magic == b"P2":  # in [0, 255] now; P5 pixels are uint8 views of immutable `data`
+        values = values.astype(np.uint8)
     return GrayImage._adopt(values.reshape(height, width))
 
 
@@ -273,11 +274,11 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
     """
     pixels = img.pixels
     lo, hi = int(pixels.min()), int(pixels.max())
-    above = pixels > lo
     if lo == hi:  # no ink
-        return BinaryImage._adopt(above), 0
-    if not np.count_nonzero(above & (pixels < hi)):  # no third level: cut at lo
-        return BinaryImage._adopt(~above), lo
+        return BinaryImage._adopt(np.zeros(pixels.shape, bool)), 0
+    ink = pixels == lo
+    if np.count_nonzero(ink) + np.count_nonzero(pixels == hi) == pixels.size:
+        return BinaryImage._adopt(ink), lo  # no third level: cut at lo
     cut = _otsu_scan(pixels)
     return BinaryImage._adopt(pixels <= cut), cut
 
@@ -288,9 +289,9 @@ def crop_to_bbox(img: BinaryImage) -> BinaryImage:
     top = rows.argmax()
     if not rows[top]:
         raise EmptyGlyphError()
-    band = img.pixels[top : img.height - rows[::-1].argmax()]  # inked rows, a view
+    band = img.pixels[top : len(rows) - rows[::-1].argmax()]  # inked rows, a view
     cols = band.any(axis=0)  # over the band only: no column has ink outside it
-    return BinaryImage._adopt(band[:, cols.argmax() : img.width - cols[::-1].argmax()])
+    return BinaryImage._adopt(band[:, cols.argmax() : len(cols) - cols[::-1].argmax()])
 
 
 @functools.lru_cache(maxsize=256)

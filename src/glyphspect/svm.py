@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -117,9 +118,15 @@ class KernelParams:
 
 
 def rbf_kernel(x: Sequence[float], y: Sequence[float], gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2); equals 1 at zero distance."""
+    """exp(-gamma * ||x - y||^2); equals 1 at zero distance. Vectors of
+    different lengths or with a non-finite component raise ValueError, as
+    does a gamma KernelParams refuses; a vector or gamma of the wrong type
+    raises TypeError."""
+    x, y = _floats(x), _floats(y)
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    if not all(map(math.isfinite, x + y)):
+        raise ValueError("non-finite feature value")
     gamma = KernelParams(gamma).gamma
     d2 = 0.0
     for a, b in zip(x, y):
@@ -354,7 +361,7 @@ def decisions(model: SvmModel, rows: Sequence[Sequence[float]]) -> np.ndarray:
 def decision(model: SvmModel, x: Sequence[float]) -> float:
     """sum_i alpha_i * y_i * K(s_i, x) + bias; decisions() on one row,
     without the batch axes."""
-    return float(_kernel(model._sv, x, model.gamma) @ model._coef) + model.bias
+    return float(_kernel(model._sv, x, model.gamma).dot(model._coef)) + model.bias
 
 
 def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
@@ -365,8 +372,10 @@ def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
 @dataclass(frozen=True)
 class ModelMeta:
     """Pipeline facts baked into a model file: raster side, coefficient count,
-    the split seed, and whether feature vectors were L2-normalized. A side or
-    count out of range raises ValueError, one that is not a number TypeError."""
+    the split seed, and whether feature vectors were L2-normalized. A side,
+    count or seed that is not an integer (a bool or 2.0 included), or a flag
+    that is not a bool, raises TypeError; a side or count out of range
+    ValueError."""
 
     n: int
     m: int
@@ -374,6 +383,14 @@ class ModelMeta:
     normalize: bool = False
 
     def __post_init__(self):
+        # the JSON types load_model requires: a numpy integer becomes an int
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise TypeError(f"{name} must be an integer")
+            object.__setattr__(self, name, operator.index(value))
+        if type(self.normalize) is not bool:
+            raise TypeError("normalize must be a bool")
         if self.n < 1:
             raise ValueError("n must be positive")
         if not 1 <= self.m <= self.n:
@@ -507,7 +524,7 @@ def vote(pm: PairwiseModel, values: Sequence[float]) -> tuple[str, dict[str, int
 def _decision_values(pm: PairwiseModel, x: Sequence[float]) -> list[float]:
     """decision() of every pair machine, bit for bit, from one kernel row."""
     k = _kernel(pm._sv, x, pm.models[0].gamma)
-    return [float(k[a:b] @ m._coef) + m.bias for m, (a, b) in zip(pm.models, pm._spans)]
+    return [float(k[a:b].dot(m._coef)) + m.bias for m, (a, b) in zip(pm.models, pm._spans)]
 
 
 def predict_multiclass(

@@ -2,6 +2,7 @@
 docstrings name."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +11,12 @@ from glyphspect.svm import (
     KernelParams,
     ModelMeta,
     PairRegistry,
+    PairwiseModel,
     SvmModel,
     TrainingSet,
+    load_model,
     rbf_kernel,
+    save_model,
 )
 
 # one valid positional argument list per constructor
@@ -83,10 +87,46 @@ def test_constructors_raise_only_their_named_errors(cls, data):
         lambda: SvmModel(((0.0,),), (1,), (1.0,), -(10**400), 1.0, 1, "a", "b", 10.0),
         lambda: TrainingSet(((10**400,), (0,)), (1, -1)),
         lambda: rbf_kernel((0.0,), (1.0,), 10**400),
+        lambda: rbf_kernel((10**400,), (0.0,), 1.0),
+        lambda: rbf_kernel((0.0, 1.0), (0.0, -(10**400)), 1.0),
         lambda: KernelParams(10**400, 1.0),
     ],
-    ids=["support", "alpha", "bias", "training-row", "rbf-gamma", "kernel-gamma"],
+    ids=["support", "alpha", "bias", "training-row", "rbf-gamma", "rbf-x", "rbf-y",
+         "kernel-gamma"],
 )
 def test_an_integer_past_the_float_range_is_a_value_error(make):
     with pytest.raises(ValueError, match="finite|box constraint"):
         make()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rbf_kernel_refuses_a_non_finite_component(bad):
+    for x, y in [((bad, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, bad))]:
+        with pytest.raises(ValueError, match="finite"):
+            rbf_kernel(x, y, 1.0)
+
+
+# integers, and values a model file cannot hold as one: floats, bools, text
+INTEGRAL = st.integers(-(10**20), 10**20) | st.sampled_from(
+    [math.inf, math.nan, 1.5, 2.0, True, np.int64(3), np.float64(2.0), None, "2"]
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    INTEGRAL,
+    st.integers(1, 4) | st.sampled_from([1.0, 1.5, True, np.int32(2)]),
+    INTEGRAL,
+    st.sampled_from([True, False, 1, 0, None, np.True_]),
+)
+def test_a_model_meta_that_constructs_saves_and_loads(n, m, seed, normalize):
+    try:
+        meta = ModelMeta(n, m, seed, normalize)
+    except (ValueError, TypeError):
+        return
+    dim = 2 * meta.m
+    machine = SvmModel([[0.0] * dim, [1.0] * dim], [1, -1], [0.5, 0.5], 0.0, 1.0, dim,
+                       "a", "b", 10.0)
+    loaded = load_model(save_model(PairwiseModel((machine,), ("a", "b"), meta)))
+    assert loaded.meta == meta
+    assert [type(v) for v in vars(loaded.meta).values()] == [int, int, int, bool]
