@@ -7,6 +7,7 @@ failing subcommand to standard error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -420,5 +421,13 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """The console script's and `python -m glyphspect.cli`'s entry: main() on a
+    frozen import-time heap, which no collection walks and exit does not tear
+    down (~20 ms). main() never freezes: a library caller's heap is its own."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -68,11 +68,14 @@ class ModelFormatError(ValueError):
     """A serialized model violates the file schema or a stored invariant."""
 
 
+_TEXT = (str, bytes, bytearray)  # float() parses these; no number is text
+
+
 def _float(value) -> float:
     """float(value) of a number; an integer past the float range becomes
     +-inf, which every model type refuses, instead of raising OverflowError.
     Text raises TypeError, as the comparisons with a bare value did."""
-    if isinstance(value, (str, bytes, bytearray)):
+    if isinstance(value, _TEXT):
         raise TypeError(f"expected a number, got {type(value).__name__}")
     try:
         return float(value)
@@ -81,7 +84,11 @@ def _float(value) -> float:
 
 
 def _floats(values) -> tuple[float, ...]:
-    """float() of each value; _float() of each once one overflows."""
+    """_float() of each value of a sequence, with its types checked once per
+    distinct type, not once per value; a text row raises TypeError too."""
+    kinds = set(map(type, values))
+    if isinstance(values, _TEXT) or any(issubclass(k, _TEXT) for k in kinds):
+        raise TypeError("expected numbers, got text")
     try:
         return tuple(map(float, values))
     except OverflowError:
@@ -374,8 +381,8 @@ class ModelMeta:
     """Pipeline facts baked into a model file: raster side, coefficient count,
     the split seed, and whether feature vectors were L2-normalized. A side,
     count or seed that is not an integer (a bool or 2.0 included), or a flag
-    that is not a bool, raises TypeError; a side or count out of range
-    ValueError."""
+    that is not a bool, raises TypeError; a side or count out of range, or
+    an integer too long for str() to render, ValueError."""
 
     n: int
     m: int
@@ -388,7 +395,14 @@ class ModelMeta:
             value = getattr(self, name)
             if isinstance(value, bool) or not hasattr(value, "__index__"):
                 raise TypeError(f"{name} must be an integer")
-            object.__setattr__(self, name, operator.index(value))
+            value = operator.index(value)
+            try:
+                str(value)  # save_model's json renders it the same way
+            except ValueError:
+                raise ValueError(
+                    f"{name} has more digits than sys.get_int_max_str_digits()"
+                ) from None
+            object.__setattr__(self, name, value)
         if type(self.normalize) is not bool:
             raise TypeError("normalize must be a bool")
         if self.n < 1:

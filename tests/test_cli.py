@@ -1,8 +1,14 @@
 import argparse
 import contextlib
+import gc
+import importlib.metadata
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1021,3 +1027,67 @@ def test_unexpected_error_propagates(monkeypatch):
     monkeypatch.setattr(cli, "cmd_featurize", fail)
     with pytest.raises(RuntimeError, match="boom"):
         run(["featurize", "--manifest", "manifest.csv"])
+
+
+# ---------------------------------------------------------------- process entry
+
+@pytest.fixture(scope="module")
+def predict_files(tmp_path_factory):
+    """A trained model, one of its glyphs, and a corrupt PGM."""
+    root = tmp_path_factory.mktemp("entry")
+    corpus, model = root / "corpus", root / "model.json"
+    assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
+    assert cli.main(
+        ["train", "--manifest", str(corpus / "manifest.csv"),
+         "--registry", str(corpus / "registry.csv"), "--model", str(model)]
+    ) == 0
+    corrupt = root / "corrupt.pgm"
+    corrupt.write_bytes(b"P2 broken")
+    return model, sorted(corpus.glob("*.pgm"))[0], corrupt
+
+
+def test_main_leaves_the_heap_unfrozen(predict_files, capsys):
+    model, glyph, _ = predict_files
+    before = gc.get_freeze_count()
+    assert cli.main(["predict", "--model", str(model), str(glyph)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_heap_then_returns_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    assert cli.run() == 3
+    assert calls == ["freeze", "main"]
+
+
+@pytest.mark.parametrize(
+    "case, code", [("predict", 0), ("no-model", 1), ("corrupt-pgm", 2)]
+)
+def test_module_entry_prints_and_exits_as_main(predict_files, capsys, case, code):
+    model, glyph, corrupt = predict_files
+    argv = {
+        "predict": ["predict", "--model", str(model), str(glyph)],
+        "no-model": ["predict", str(glyph)],
+        "corrupt-pgm": ["predict", "--model", str(model), str(corrupt)],
+    }[case]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    done = subprocess.run(
+        [sys.executable, "-m", "glyphspect.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+def test_console_script_enters_through_run():
+    try:
+        dist = importlib.metadata.distribution("glyphspect")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("no installed glyphspect metadata, as under PYTHONPATH=src")
+    scripts = [
+        ep.value for ep in dist.entry_points
+        if ep.group == "console_scripts" and ep.name == "glyphspect"
+    ]
+    assert scripts == ["glyphspect.cli:run"]

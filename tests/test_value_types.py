@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glyphspect.imaging import BinaryImage, GrayImage
 from glyphspect.svm import (
@@ -106,6 +106,28 @@ def test_rbf_kernel_refuses_a_non_finite_component(bad):
             rbf_kernel(x, y, 1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda text: TrainingSet(((text,), (0,)), (1, -1)),
+        lambda text: TrainingSet(((0.0, 1.0), (2.0, text)), (1, -1)),
+        lambda text: TrainingSet((text, (0.0,)), (1, -1)),  # map(float, b"1") is (49.0,)
+        lambda text: rbf_kernel((text,), (0.0,), 1.0),
+        lambda text: rbf_kernel((0.0,), (text,), 1.0),
+        lambda text: SvmModel(((text,),), (1,), (0.5,), 0.0, 1.0, 1, "a", "b", 10.0),
+        lambda text: SvmModel(((0.25,),), (1,), (text,), 0.0, 1.0, 1, "a", "b", 10.0),
+    ],
+    ids=["training-row", "training-last", "text-row", "rbf-x", "rbf-y", "support", "alpha"],
+)
+@pytest.mark.parametrize(
+    "text", ["1", "0.5", b"1", bytearray(b"1"), np.str_("1"), np.bytes_(b"1")],
+    ids=["str", "str-float", "bytes", "bytearray", "numpy-str", "numpy-bytes"],
+)
+def test_numeric_text_is_a_type_error(make, text):
+    with pytest.raises(TypeError, match="text"):
+        make(text)
+
+
 # integers, and values a model file cannot hold as one: floats, bools, text
 INTEGRAL = st.integers(-(10**20), 10**20) | st.sampled_from(
     [math.inf, math.nan, 1.5, 2.0, True, np.int64(3), np.float64(2.0), None, "2"]
@@ -119,6 +141,9 @@ INTEGRAL = st.integers(-(10**20), 10**20) | st.sampled_from(
     INTEGRAL,
     st.sampled_from([True, False, 1, 0, None, np.True_]),
 )
+# 4,301 digits: one past what str() and json render by default
+@example(n=2, m=1, seed=10**4300, normalize=False)
+@example(n=10**4300, m=1, seed=0, normalize=False)
 def test_a_model_meta_that_constructs_saves_and_loads(n, m, seed, normalize):
     try:
         meta = ModelMeta(n, m, seed, normalize)
