@@ -8,15 +8,17 @@ The root re-exports every module's public names; each module's `__all__`
 is the one list of them. Nothing is imported until used (PEP 562): reading
 a module, one of its names, or the root's `__all__` loads what it needs,
 so a process that runs `predict` never loads `dataset` or `evaluation`.
+The root also holds `_FrozenValue`, the base of every value type.
 """
 
 _MODULES = ("imaging", "features", "svm", "dataset", "evaluation")
+_SUBMODULES = (*_MODULES, "cli")  # `cli` is a submodule, not re-exported
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name in _MODULES:
+    if name in _SUBMODULES:
         # binds `name` here; unlike importlib.import_module, -X importtime sees it
         __import__(f"{__name__}.{name}")
         return globals()[name]
@@ -35,4 +37,41 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})
+    return sorted({*globals(), *_SUBMODULES, *__getattr__("__all__")})
+
+
+class _FrozenValue:
+    """What a frozen dataclass gives, written out once: `@dataclass` would
+    generate and compile each class's methods at import (~0.5 ms a class on
+    Python 3.11). A subclass's fields are its `__init__` parameters, in
+    order: `repr` shows them, and `==` and `hash` compare the type and them.
+    `__init__` stores them, and anything else it caches, in `self.__dict__`;
+    assigning or deleting an attribute raises FrozenInstanceError."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

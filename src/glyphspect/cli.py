@@ -7,9 +7,11 @@ failing subcommand to standard error.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -388,10 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _synthesis_error() -> type:
-    """dataset.SynthesisError, imported only once main matches an error."""
-    from . import dataset
-    return dataset.SynthesisError
+def _synthesis_errors() -> tuple:
+    """(dataset.SynthesisError,) once dataset is loaded; until then nothing
+    can have raised it, and an error exit need not load dataset to say so."""
+    dataset = sys.modules.get(f"{__package__}.dataset")
+    return () if dataset is None else (dataset.SynthesisError,)
 
 
 def main(argv=None) -> int:
@@ -411,7 +414,7 @@ def main(argv=None) -> int:
     except (
         svm.DegenerateTrainingError,
         svm.ConvergenceError,
-        _synthesis_error(),
+        *_synthesis_errors(),
     ) as exc:
         code, error = EXIT_TRAINING, exc
     except (ValueError, OSError) as exc:
@@ -423,10 +426,20 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """The console script's and `python -m glyphspect.cli`'s entry: main() on a
-    frozen import-time heap, which no collection walks and exit does not tear
-    down (~20 ms). main() never freezes: a library caller's heap is its own."""
+    frozen import-time heap, which no collection walks, then interpreter exit
+    without its module teardown (~4 ms): the atexit handlers, a flush of
+    stdout and stderr, and os._exit. A flush that fails returns main's code
+    instead, so the interpreter's own exit reports it (exit 120 on a full
+    disk). main() does neither: a library caller's heap and exit are its own."""
     gc.freeze()
-    return main()
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # also a closed or absent stream; exit reports it again
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,12 +12,12 @@ import csv
 import math
 import random
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _FrozenValue
 from .imaging import (
     BinaryImage,
     GrayImage,
@@ -63,38 +63,34 @@ class SynthesisError(RuntimeError):
     """Raised when perturbation repeatedly erases every ink pixel."""
 
 
-@dataclass(frozen=True)
-class GlyphSample:
+class GlyphSample(_FrozenValue):
     """One labeled glyph image plus an opaque provenance string."""
 
-    image: GrayImage | BinaryImage
-    label: str
-    source_id: str
-
-    def __post_init__(self):
-        if not self.label:
+    def __init__(self, image: GrayImage | BinaryImage, label: str, source_id: str):
+        if not label:
             raise ValueError("sample label must be non-empty")
+        self.__dict__.update(image=image, label=label, source_id=source_id)
 
 
-@dataclass(frozen=True)
-class SynthParams:
+class SynthParams(_FrozenValue):
     """Perturbation knobs for corpus generation."""
 
-    flips: float = 0.0
-    max_shift: int = 0
-    scale_jitter: float = 0.0
-    count: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.flips <= 1.0:
+    def __init__(
+        self, flips: float = 0.0, max_shift: int = 0, scale_jitter: float = 0.0,
+        count: int = 1, seed: int = 0,
+    ):
+        if not 0.0 <= flips <= 1.0:
             raise ValueError("flips must lie in [0, 1]")
-        if self.max_shift < 0:
+        if max_shift < 0:
             raise ValueError("max_shift must be nonnegative")
-        if not 0.0 <= self.scale_jitter <= 0.5:
+        if not 0.0 <= scale_jitter <= 0.5:
             raise ValueError("scale_jitter must lie in [0, 0.5]")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("count must be positive")
+        self.__dict__.update(
+            flips=flips, max_shift=max_shift, scale_jitter=scale_jitter,
+            count=count, seed=seed,
+        )
 
 
 def _read_csv(

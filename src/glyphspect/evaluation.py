@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
+from . import _FrozenValue
 from .svm import SvmModel, decisions
 
 __all__ = [
@@ -47,17 +47,12 @@ CSV_HEADERS = (
 )
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(_FrozenValue):
     """Tallies against the pair's positive ("correct") class."""
 
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        for name in ("tp", "fp", "tn", "fn"):
+    def __init__(self, tp: int, fp: int, tn: int, fn: int):
+        self.__dict__.update(tp=tp, fp=fp, tn=tn, fn=fn)
+        for name in self._fields:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -66,13 +61,15 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class PairMetrics:
+class PairMetrics(_FrozenValue):
     """Percentages in [0, 100]; None marks an undefined ratio."""
 
-    sensitivity: float | None
-    specificity: float | None
-    accuracy: float
+    def __init__(
+        self, sensitivity: float | None, specificity: float | None, accuracy: float
+    ):
+        self.__dict__.update(
+            sensitivity=sensitivity, specificity=specificity, accuracy=accuracy
+        )
 
 
 def evaluate_pair(

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import _FrozenValue
 from .imaging import BinaryImage
 
 __all__ = [
@@ -41,17 +41,13 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionPair:
+class ProjectionPair(_FrozenValue):
     """Row and column ink counts of an n-by-n binary image (read-only arrays)."""
 
-    h: np.ndarray
-    v: np.ndarray
-    n: int
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", _frozen(self.h, np.int64))
-        object.__setattr__(self, "v", _frozen(self.v, np.int64))
+    def __init__(self, h: np.ndarray, v: np.ndarray, n: int):
+        self.__dict__.update(h=_frozen(h, np.int64), v=_frozen(v, np.int64), n=n)
         if self.h.shape != (self.n,) or self.v.shape != (self.n,):
             raise ValueError("projection length does not match n")
         h, v = self.h.tolist(), self.v.tolist()  # builtins beat tiny numpy reductions
@@ -61,14 +57,13 @@ class ProjectionPair:
             raise ValueError("row and column projections must count the same ink")
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_FrozenValue):
     """Complex DFT coefficients of one projection signal (read-only array)."""
 
-    coeffs: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs, np.complex128))
+    def __init__(self, coeffs: np.ndarray):
+        self.__dict__["coeffs"] = _frozen(coeffs, np.complex128)
         if self.coeffs.ndim != 1 or not len(self.coeffs):
             raise ValueError("spectrum must contain at least one coefficient")
 
@@ -76,15 +71,11 @@ class Spectrum:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(_FrozenValue):
     """2m nonnegative reals: m truncated magnitudes per projection axis."""
 
-    values: tuple[float, ...]
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+    def __init__(self, values: tuple[float, ...], m: int):
+        self.__dict__.update(values=tuple(map(float, values)), m=m)
         if self.m < 1:
             raise ValueError("m must be positive")
         if len(self.values) != 2 * self.m:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 
 import numpy as np
+
+from . import _FrozenValue
 
 __all__ = [
     "GrayImage",
@@ -47,8 +48,7 @@ class EmptyGlyphError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True, eq=False)
-class _Raster:
+class _Raster(_FrozenValue):
     """A width-by-height raster; `pixels` is a read-only (height, width) array.
 
     Caller data, flat (row-major, top row first) or a (height, width) array
@@ -60,27 +60,21 @@ class _Raster:
     and pixels are equal.
     """
 
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+    def __init__(self, width: int, height: int, pixels: np.ndarray):
+        if width < 1 or height < 1:
             raise ValueError("image dimensions must be positive")
-        arr = np.asarray(self.pixels)
-        if arr.shape not in ((self.width * self.height,), (self.height, self.width)):
-            raise ValueError(
-                f"pixel count {arr.size} does not match {self.width}x{self.height}"
-            )
+        arr = np.asarray(pixels)
+        if arr.shape not in ((width * height,), (height, width)):
+            raise ValueError(f"pixel count {arr.size} does not match {width}x{height}")
         if arr.dtype.kind not in "biu":
             raise ValueError(f"pixels must be integers, got {arr.dtype}")
         if arr.dtype != self._dtype:
             worst = arr.min() if arr.min() < 0 else arr.max()
             if not 0 <= worst <= self._top:
                 raise ValueError(f"{self._noun} {worst} outside [0, {self._top}]")
-        arr = arr.astype(self._dtype).reshape(self.height, self.width)
+        arr = arr.astype(self._dtype).reshape(height, width)
         arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
+        self.__dict__.update(width=width, height=height, pixels=arr)
 
     @classmethod
     def _adopt(cls, arr: np.ndarray):

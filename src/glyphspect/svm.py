@@ -19,10 +19,11 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from . import _FrozenValue
 
 __all__ = [
     "FORMAT_VERSION",
@@ -105,23 +106,20 @@ def _labels(values) -> tuple[int, ...]:
     return tuple(map(int, labels))
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(_FrozenValue):
     """RBF width and box constraint, each positive and finite: the one home
     of that rule, which SvmModel and rbf_kernel reuse. `kkt_tol`, the SMO
     stopping tolerance, is a constant. A value outside the rule raises
     ValueError, one that is not a number TypeError."""
 
-    gamma: float
-    c: float = 10.0
-    kkt_tol: ClassVar[float] = 1e-3
+    kkt_tol = 1e-3
 
-    def __post_init__(self):
-        for name in ("gamma", "c"):
-            value = _float(getattr(self, name))
+    def __init__(self, gamma: float, c: float = 10.0):
+        for name, value in (("gamma", gamma), ("c", c)):
+            value = _float(value)
             if not 0.0 < value < math.inf:  # also refuses NaN
                 raise ValueError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, value)
+            self.__dict__[name] = value
 
 
 def rbf_kernel(x: Sequence[float], y: Sequence[float], gamma: float) -> float:
@@ -142,18 +140,13 @@ def rbf_kernel(x: Sequence[float], y: Sequence[float], gamma: float) -> float:
     return math.exp(-gamma * d2)
 
 
-@dataclass(frozen=True)
-class TrainingSet:
+class TrainingSet(_FrozenValue):
     """Finite feature rows of one length with labels in {-1, +1}; both
     labels must occur. A value outside these rules raises ValueError, one
     of the wrong type (a row that is not a sequence) TypeError."""
 
-    x: tuple[tuple[float, ...], ...]
-    y: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(map(_floats, self.x)))
-        object.__setattr__(self, "y", _labels(self.y))
+    def __init__(self, x: tuple[tuple[float, ...], ...], y: tuple[int, ...]):
+        self.__dict__.update(x=tuple(map(_floats, x)), y=_labels(y))
         if len(self.x) != len(self.y):
             raise ValueError("x and y lengths differ")
         if not self.x:
@@ -174,8 +167,7 @@ class TrainingSet:
         return len(self.x[0])
 
 
-@dataclass(frozen=True)
-class SvmModel:
+class SvmModel(_FrozenValue):
     """Trained dual solution: support vectors, multipliers, bias, kernel width.
 
     Only structural invariants are enforced here (hand-built stub models are
@@ -184,31 +176,22 @@ class SvmModel:
     invariant raises ValueError, one of the wrong type TypeError.
     """
 
-    support_x: tuple[tuple[float, ...], ...]
-    support_y: tuple[int, ...]
-    alpha: tuple[float, ...]
-    bias: float
-    gamma: float
-    dim: int
-    pos_class: str
-    neg_class: str
-    c: float
-    # support_x as an array and alpha_i * y_i, built once for decision()
-    _sv: np.ndarray = field(init=False, repr=False, compare=False)
-    _coef: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "support_x", tuple(map(_floats, self.support_x)))
-        object.__setattr__(self, "support_y", _labels(self.support_y))
-        object.__setattr__(self, "alpha", _floats(self.alpha))
-        object.__setattr__(self, "bias", _float(self.bias))
+    def __init__(
+        self, support_x: tuple[tuple[float, ...], ...], support_y: tuple[int, ...],
+        alpha: tuple[float, ...], bias: float, gamma: float, dim: int,
+        pos_class: str, neg_class: str, c: float,
+    ):
+        self.__dict__.update(
+            support_x=tuple(map(_floats, support_x)), support_y=_labels(support_y),
+            alpha=_floats(alpha), bias=_float(bias), gamma=gamma, dim=dim,
+            pos_class=pos_class, neg_class=neg_class, c=c,
+        )
         if not (len(self.support_x) == len(self.support_y) == len(self.alpha) >= 1):
             raise ValueError("support vectors, labels, and alphas must align")
         if self.dim < 1:
             raise ValueError("feature dimension must be positive")
         params = KernelParams(self.gamma, self.c)
-        object.__setattr__(self, "gamma", params.gamma)
-        object.__setattr__(self, "c", params.c)
+        self.__dict__.update(gamma=params.gamma, c=params.c)
         if self.pos_class == self.neg_class:
             raise ValueError("pos_class and neg_class must differ")
         if not math.isfinite(self.bias):
@@ -224,8 +207,8 @@ class SvmModel:
             raise ValueError("stored multipliers must be positive")
         if (worst := alpha.max()) > self.c:
             raise ValueError(f"multiplier {worst} exceeds box constraint {self.c}")
-        object.__setattr__(self, "_sv", sv)
-        object.__setattr__(self, "_coef", alpha * np.array(self.support_y))
+        # support_x as an array and alpha_i * y_i, built once for decision()
+        self.__dict__.update(_sv=sv, _coef=alpha * np.array(self.support_y))
 
 
 def train_smo(
@@ -376,23 +359,16 @@ def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
     return model.pos_class if decision(model, x) >= 0.0 else model.neg_class
 
 
-@dataclass(frozen=True)
-class ModelMeta:
+class ModelMeta(_FrozenValue):
     """Pipeline facts baked into a model file: raster side, coefficient count,
     the split seed, and whether feature vectors were L2-normalized. A side,
     count or seed that is not an integer (a bool or 2.0 included), or a flag
     that is not a bool, raises TypeError; a side or count out of range, or
     an integer too long for str() to render, ValueError."""
 
-    n: int
-    m: int
-    seed: int
-    normalize: bool = False
-
-    def __post_init__(self):
+    def __init__(self, n: int, m: int, seed: int, normalize: bool = False):
         # the JSON types load_model requires: a numpy integer becomes an int
-        for name in ("n", "m", "seed"):
-            value = getattr(self, name)
+        for name, value in (("n", n), ("m", m), ("seed", seed)):
             if isinstance(value, bool) or not hasattr(value, "__index__"):
                 raise TypeError(f"{name} must be an integer")
             value = operator.index(value)
@@ -402,28 +378,24 @@ class ModelMeta:
                 raise ValueError(
                     f"{name} has more digits than sys.get_int_max_str_digits()"
                 ) from None
-            object.__setattr__(self, name, value)
-        if type(self.normalize) is not bool:
+            self.__dict__[name] = value
+        if type(normalize) is not bool:
             raise TypeError("normalize must be a bool")
+        self.__dict__["normalize"] = normalize
         if self.n < 1:
             raise ValueError("n must be positive")
         if not 1 <= self.m <= self.n:
             raise ValueError(f"m must satisfy 1 <= m <= {self.n}, got {self.m}")
 
 
-@dataclass(frozen=True)
-class PairRegistry:
+class PairRegistry(_FrozenValue):
     """The confusable pairs: (correct_class, error_class) rows, the first
     bound to +1. The one home of the pair-list rules: at least one pair,
     non-empty and distinct names, no unordered pair twice. A list that breaks
     them raises ValueError, one whose rows are not sequences TypeError."""
 
-    pairs: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple((str(a), str(b)) for a, b in self.pairs)
-        )
+    def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        self.__dict__["pairs"] = tuple((str(a), str(b)) for a, b in pairs)
         if not self.pairs:
             raise ValueError("no pairs")
         seen = set()
@@ -443,22 +415,16 @@ class PairRegistry:
         return tuple(dict.fromkeys(cls for pair in self.pairs for cls in pair))
 
 
-@dataclass(frozen=True)
-class PairwiseModel:
+class PairwiseModel(_FrozenValue):
     """One binary machine per confusable class pair, voting for prediction.
     Its pairs obey PairRegistry's rules and `classes` lists exactly their
     classes."""
 
-    models: tuple[SvmModel, ...]
-    classes: tuple[str, ...]
-    meta: ModelMeta | None = None
-    # every machine's support vectors stacked, and each machine's row span
-    _sv: np.ndarray = field(init=False, repr=False, compare=False)
-    _spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "classes", tuple(self.classes))
+    def __init__(
+        self, models: tuple[SvmModel, ...], classes: tuple[str, ...],
+        meta: ModelMeta | None = None,
+    ):
+        self.__dict__.update(models=tuple(models), classes=tuple(classes), meta=meta)
         registry = PairRegistry((m.pos_class, m.neg_class) for m in self.models)
         if sorted(self.classes) != sorted(registry.classes):
             raise ValueError("classes must list each class of the pairs once")
@@ -473,9 +439,12 @@ class PairwiseModel:
                 raise ValueError("pair machines disagree on feature dimension")
             if mdl.gamma != first.gamma or mdl.c != first.c:
                 raise ValueError("pair machines disagree on kernel parameters")
+        # every machine's support vectors stacked, and each machine's row span
         ends = list(itertools.accumulate(len(mdl.alpha) for mdl in self.models))
-        object.__setattr__(self, "_sv", np.vstack([mdl._sv for mdl in self.models]))
-        object.__setattr__(self, "_spans", tuple(zip([0] + ends, ends)))
+        self.__dict__.update(
+            _sv=np.vstack([mdl._sv for mdl in self.models]),
+            _spans=tuple(zip([0] + ends, ends)),
+        )
 
 
 def train_pairwise(
@@ -598,11 +567,14 @@ def _field(doc, key: str, kind: type, where: str):
     return value
 
 
+_JSON_REALS = {float, int}
+
+
 def _real(value, where: str) -> float:
     """A JSON number as a float, possibly inf or NaN: JSON 1e400 and Infinity
     parse to inf, as does an integer past the float range. The model types
     refuse every non-finite value."""
-    if type(value) is not float and type(value) is not int:
+    if type(value) not in _JSON_REALS:
         raise ModelFormatError(f"{where} must be a real number")
     return _float(value)
 
@@ -647,7 +619,11 @@ def load_model(data: bytes) -> PairwiseModel:
         for sv in _field(entry, "support", list, where):
             ys.append(_field(sv, "y", int, in_entry))
             alphas.append(_field(sv, "alpha", float, in_entry))
-            xs.append([_real(v, component) for v in _field(sv, "x", list, in_entry)])
+            x = _field(sv, "x", list, in_entry)
+            if not set(map(type, x)) <= _JSON_REALS:  # one check per row
+                for v in x:
+                    _real(v, component)  # raises on the first that is not
+            xs.append(x)
         try:
             models.append(
                 SvmModel(

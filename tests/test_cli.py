@@ -1,4 +1,5 @@
 import argparse
+import atexit
 import contextlib
 import gc
 import importlib.metadata
@@ -1053,12 +1054,83 @@ def test_main_leaves_the_heap_unfrozen(predict_files, capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_run_freezes_the_heap_then_returns_main(monkeypatch):
+class _Stream:
+    """A stand-in for sys.stdout or sys.stderr that logs its flushes."""
+
+    def __init__(self, name, calls, error=None):
+        self.name, self.calls, self.error = name, calls, error
+
+    def flush(self):
+        self.calls.append("flush " + self.name)
+        if self.error is not None:
+            raise self.error
+
+
+def _entry_calls(monkeypatch, stdout_error=None):
+    """run() with every step it takes logged in order, and its result."""
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
-    assert cli.run() == 3
-    assert calls == ["freeze", "main"]
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", calls, stdout_error))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", calls))
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(f"_exit {code}"))
+    return calls, cli.run()
+
+
+def test_run_exits_with_mains_code_after_atexit_and_flush(monkeypatch):
+    calls, _ = _entry_calls(monkeypatch)
+    assert calls == [
+        "freeze", "main", "atexit", "flush stdout", "flush stderr", "_exit 3"
+    ]
+
+
+def test_run_returns_mains_code_when_a_flush_fails(monkeypatch):
+    calls, code = _entry_calls(monkeypatch, OSError(28, "No space left on device"))
+    assert code == 3
+    assert calls == ["freeze", "main", "atexit", "flush stdout"]
+
+
+def _without_unbuffered():
+    """The environment of a child whose standard streams are buffered and
+    that imports glyphspect from this tree."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
+def test_module_entry_flushes_buffered_output_to_a_pipe(tmp_path, capsys):
+    manifest = synth_corpus(tmp_path, count=4) / "manifest.csv"
+    argv = ["featurize", "--manifest", str(manifest), "--m", "2"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    # a larger write bypasses the 8 KiB buffer, so only a flush can lose this
+    assert len(out) < io.DEFAULT_BUFFER_SIZE
+    done = subprocess.run(
+        [sys.executable, "-m", "glyphspect.cli", *argv],
+        capture_output=True, env=_without_unbuffered(),
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_module_entry_on_a_full_stdout_exits_as_the_interpreter_does(predict_files):
+    """A flush that fails leaves the exit to the interpreter: the code (120)
+    and message are those of a process that returns main()'s code."""
+    model, glyph, _ = predict_files
+    argv = ["predict", "--model", str(model), str(glyph)]
+    by_main = "import sys; from glyphspect.cli import main; sys.exit(main(sys.argv[1:]))"
+    results = []
+    for entry in (["-m", "glyphspect.cli"], ["-c", by_main]):
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, *entry, *argv], stdout=full,
+                stderr=subprocess.PIPE, env=_without_unbuffered(),
+            )
+        results.append((done.returncode, done.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == 120
 
 
 @pytest.mark.parametrize(

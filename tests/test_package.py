@@ -87,6 +87,41 @@ def test_predict_loads_only_the_modules_it_runs(tmp_path):
     ]
 
 
+def test_a_submodule_name_loads_only_that_submodule():
+    loaded = fresh_interpreter(f"from glyphspect import cli; {LOADED}")
+    assert "glyphspect.dataset" not in loaded
+    assert "glyphspect.evaluation" not in loaded
+
+
+def test_no_module_imports_dataclasses():
+    """The value types share one hand-written base, not `@dataclass`; skip
+    where the standard library or numpy loads dataclasses by itself."""
+    check = "print(['dataclasses' in sys.modules])"
+    stdlib = "import sys, argparse, csv, json, math, pathlib, random, re, numpy; "
+    if fresh_interpreter(stdlib + check) == [True]:
+        pytest.skip("the package's imports outside glyphspect load dataclasses")
+    every = "import sys, glyphspect.cli, glyphspect.dataset, glyphspect.evaluation; "
+    assert fresh_interpreter(every + check) == [False]
+
+
+def test_a_predict_data_error_does_not_load_dataset(tmp_path):
+    corpus, model = tmp_path / "corpus", tmp_path / "model.json"
+    assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
+    assert cli.main(
+        ["train", "--manifest", str(corpus / "manifest.csv"),
+         "--registry", str(corpus / "registry.csv"), "--model", str(model)]
+    ) == 0
+    corrupt = tmp_path / "corrupt.pgm"
+    corrupt.write_bytes(b"P2 broken")
+    loaded = fresh_interpreter(
+        "import sys; from glyphspect.cli import main; "
+        "assert main(['predict', '--model', sys.argv[1], sys.argv[2]]) == 2; "
+        + LOADED,
+        str(model), str(corrupt),
+    )
+    assert "glyphspect.dataset" not in loaded and "csv" not in loaded
+
+
 def test_predict_does_not_load_numpy_fft(tmp_path):
     """The features' DFT is a matrix product; numpy 1.x loads numpy.fft with
     numpy itself, so there is nothing to check."""

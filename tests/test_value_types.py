@@ -1,11 +1,15 @@
 """The public value types refuse bad input only with the errors their
 docstrings name."""
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from glyphspect.dataset import GlyphSample, SynthParams
+from glyphspect.evaluation import ConfusionCounts, PairMetrics
+from glyphspect.features import FeatureVector, ProjectionPair, Spectrum
 from glyphspect.imaging import BinaryImage, GrayImage
 from glyphspect.svm import (
     KernelParams,
@@ -155,3 +159,70 @@ def test_a_model_meta_that_constructs_saves_and_loads(n, m, seed, normalize):
     loaded = load_model(save_model(PairwiseModel((machine,), ("a", "b"), meta)))
     assert loaded.meta == meta
     assert [type(v) for v in vars(loaded.meta).values()] == [int, int, int, bool]
+
+
+# ------------------------------------------------ what frozen dataclasses gave
+
+MACHINE = dict(
+    support_x=((0.0, 1.0), (1.0, 0.0)), support_y=(1, -1), alpha=(0.5, 0.5),
+    bias=0.0, gamma=1.0, dim=2, pos_class="a", neg_class="b", c=10.0,
+)
+# every value type, with one instance's arguments by keyword, in field order
+FIELDS = {
+    GrayImage: dict(width=2, height=1, pixels=[0, 255]),
+    BinaryImage: dict(width=1, height=2, pixels=[[1], [0]]),
+    ProjectionPair: dict(h=[1, 0], v=[0, 1], n=2),
+    Spectrum: dict(coeffs=[1 + 0j, 0.5j]),
+    FeatureVector: dict(values=(0.5, 1.0), m=1),
+    KernelParams: dict(gamma=0.5, c=10.0),
+    TrainingSet: dict(x=((0.0, 1.0), (1.0, 0.5)), y=(1, -1)),
+    SvmModel: MACHINE,
+    ModelMeta: dict(n=4, m=1, seed=0, normalize=True),
+    PairRegistry: dict(pairs=(("a", "b"),)),
+    PairwiseModel: dict(models=(SvmModel(**MACHINE),), classes=("a", "b"), meta=None),
+    GlyphSample: dict(image=GrayImage(1, 1, [0]), label="a", source_id="a.pgm"),
+    SynthParams: dict(flips=0.0, max_shift=0, scale_jitter=0.0, count=1, seed=0),
+    ConfusionCounts: dict(tp=1, fp=2, tn=3, fn=4),
+    PairMetrics: dict(sensitivity=None, specificity=50.0, accuracy=75.0),
+}
+IDENTITY_EQ = (ProjectionPair, Spectrum)
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_value_types_are_frozen_and_show_their_fields(cls):
+    value = cls(**FIELDS[cls])
+    shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in FIELDS[cls])
+    assert repr(value) == f"{cls.__name__}({shown})"
+    for name in (*FIELDS[cls], "other"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_value_types_compare_by_type_and_fields(cls):
+    value, twin = cls(**FIELDS[cls]), cls(**FIELDS[cls])
+    assert value == value and hash(value) == hash(value)
+    if cls in IDENTITY_EQ:
+        assert value != twin
+        return
+    # SvmModel's and PairwiseModel's cached arrays are not compared
+    assert value == twin and hash(value) == hash(twin)
+    assert value != object() and not value == FIELDS[cls]
+
+
+def test_a_changed_field_makes_a_value_unequal():
+    assert KernelParams(0.5) != KernelParams(0.25)
+    assert ModelMeta(4, 1, 0) != ModelMeta(4, 1, 1)
+    assert ConfusionCounts(1, 2, 3, 4) != ConfusionCounts(1, 2, 3, 5)
+    assert hash(KernelParams(0.5)) == hash((0.5, 10.0))
+
+
+def test_constructor_signatures_keep_keywords_and_defaults():
+    assert KernelParams(0.5) == KernelParams(gamma=0.5, c=10.0)
+    assert ModelMeta(4, 1, 0).normalize is False
+    assert PairwiseModel((SvmModel(**MACHINE),), ("a", "b")).meta is None
+    assert SynthParams() == SynthParams(0.0, 0, 0.0, 1, 0)
+    with pytest.raises(TypeError, match="unexpected keyword argument '_sv'"):
+        SvmModel(**MACHINE, _sv=None)
