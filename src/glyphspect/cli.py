@@ -24,7 +24,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
 
-_BLOCK = 256  # glyphs featurized per array block; bounds the stacks' memory
+_BLOCK = 256  # glyphs featurized per array block; bounds the masks' memory
 
 # Every setting a flag or the config file may give, with its argparse
 # keywords. Its config key is the flag's name with `_` for `-`, and the
@@ -133,26 +133,28 @@ def _scale_gamma(vectors, m: int) -> float:
     return 1.0 / (2 * m) if var == 0 else 1.0 / (2 * m * var)
 
 
+def _square(gray: imaging.GrayImage, n: int) -> imaging.BinaryImage:
+    """One glyph's n-by-n mask: its Otsu cut, cropped to the ink, resized."""
+    binary, _ = imaging.binarize_otsu(gray)
+    return imaging.resize_to_square(imaging.crop_to_bbox(binary), n)
+
+
 def _featurize_samples(samples, meta: svm.ModelMeta):
-    """The (N, 2m) feature rows and the labels of the samples, in order, from
-    stacks of _BLOCK same-shape rasters, bit-identical to the one-glyph calls
-    of cmd_predict; names the first glyph without ink."""
-    groups = {}
-    for i, sample in enumerate(samples):
-        groups.setdefault(sample.image.pixels.shape, []).append(i)
+    """The (N, 2m) feature rows and the labels of the samples, in order: each
+    glyph's _square, projected _BLOCK masks at a time, bit-identical to
+    cmd_predict's extract_features; names the first glyph without ink."""
     vectors = np.empty((len(samples), 2 * meta.m))
-    first_empty = len(samples)
-    for ix in groups.values():
-        for block in (ix[k : k + _BLOCK] for k in range(0, len(ix), _BLOCK)):
-            grays = np.stack([samples[i].image.pixels for i in block])
+    for start in range(0, len(samples), _BLOCK):
+        block = samples[start : start + _BLOCK]
+        masks = np.empty((len(block), meta.n, meta.n), bool)
+        for i, sample in enumerate(block):
             try:
-                masks, _ = imaging.normalize_glyphs(grays, meta.n)
+                masks[i] = _square(sample.image, meta.n).pixels
             except imaging.EmptyGlyphError as exc:
-                first_empty = min(first_empty, block[exc.index])
-                break  # the rest of this shape comes later in the manifest
-            vectors[block] = features.feature_rows(masks, meta.m, meta.normalize)
-    if first_empty < len(samples):
-        raise ValueError(f"{samples[first_empty].source_id!r}: empty glyph")
+                raise ValueError(f"{sample.source_id!r}: {exc}") from None
+        vectors[start : start + len(block)] = features.feature_rows(
+            masks, meta.m, meta.normalize
+        )
     return vectors, [s.label for s in samples]
 
 
@@ -286,11 +288,8 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     pm = svm.load_model(Path(args.model).read_bytes())
     meta = pm.meta
-    # one-glyph calls, not _featurize_samples: a stack of one costs ~35% more
     try:
-        gray = imaging.load_pgm(Path(args.image).read_bytes())
-        binary, _ = imaging.binarize_otsu(gray)
-        squared = imaging.resize_to_square(imaging.crop_to_bbox(binary), meta.n)
+        squared = _square(imaging.load_pgm(Path(args.image).read_bytes()), meta.n)
     except (imaging.PgmParseError, imaging.EmptyGlyphError) as exc:
         raise ValueError(f"{str(args.image)!r}: {exc}") from None
     vec = features.extract_features(squared, meta.m, normalize=meta.normalize).values

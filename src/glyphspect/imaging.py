@@ -2,13 +2,10 @@
 
 Each image holds one read-only 2-D numpy array (uint8 intensities for
 grayscale, bool for a mask), so every operation is a whole-array step and
-no code loops over pixels in Python. `normalize_glyphs` thresholds, crops
-and resizes an (N, h, w) stack of equal-shape rasters at once, with the
-Otsu scan and the crop and resize rules of the one-image functions.
-Otsu's threshold is chosen in exact integer arithmetic on each image's own
-histogram, or in closed form for one level (no cut) or two (the lower). All
-operations are pure and the image types are immutable, which keeps the
-whole pipeline deterministic.
+no code loops over pixels in Python. Otsu's threshold is chosen in exact
+integer arithmetic on the image's histogram, or in closed form for one
+level (no cut) or two (the lower). All operations are pure and the image
+types are immutable, which keeps the whole pipeline deterministic.
 """
 from __future__ import annotations
 
@@ -31,7 +28,6 @@ __all__ = [
     "crop_to_bbox",
     "resize_nearest",
     "resize_to_square",
-    "normalize_glyphs",
 ]
 
 
@@ -40,12 +36,7 @@ class PgmParseError(ValueError):
 
 
 class EmptyGlyphError(ValueError):
-    """Raised when an operation needs ink but the image has none; `index`
-    is the first such image of a batch."""
-
-    def __init__(self, index: int = 0):
-        super().__init__("empty glyph")
-        self.index = index
+    """Raised when an operation needs ink but the image has none."""
 
 
 class _Raster(_FrozenValue):
@@ -282,7 +273,7 @@ def crop_to_bbox(img: BinaryImage) -> BinaryImage:
     rows = img.pixels.any(axis=1)
     top = rows.argmax()
     if not rows[top]:
-        raise EmptyGlyphError()
+        raise EmptyGlyphError("empty glyph")
     band = img.pixels[top : len(rows) - rows[::-1].argmax()]  # inked rows, a view
     cols = band.any(axis=0)  # over the band only: no column has ink outside it
     return BinaryImage._adopt(band[:, cols.argmax() : len(cols) - cols[::-1].argmax()])
@@ -310,31 +301,3 @@ def resize_to_square(img: BinaryImage, n: int) -> BinaryImage:
         return img
     return resize_nearest(img, n, n)
 
-
-def normalize_glyphs(grays: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
-    """binarize_otsu, crop_to_bbox and resize_to_square on each raster of an
-    (N, h, w) intensity stack: the (N, n, n) masks, bit for bit, and the N
-    thresholds. Raises EmptyGlyphError, `index` the first raster without ink."""
-    if n < 1:
-        raise ValueError("target size must be a positive integer")
-    # binarize_otsu's rule (int16 cuts compare several times faster than int64 ones);
-    # its cut leaves ink exactly in a raster of two levels or more
-    lo, hi = (r(axis=(1, 2), keepdims=True) for r in (grays.min, grays.max))
-    inked = (lo < hi).ravel().tolist()  # builtins beat tiny numpy reductions
-    if not all(inked):
-        raise EmptyGlyphError(inked.index(False))
-    scan = ((grays > lo) & (grays < hi)).any(axis=(1, 2))  # a third level
-    cuts = lo.ravel().astype(np.int16)
-    cuts[scan] = [_otsu_scan(pixels) for pixels in grays[scan]]
-    masks = grays <= cuts[:, None, None]
-    # blank rows above and below and columns left and right of each raster's ink
-    ink_rows, ink_cols = masks.any(axis=2), masks.any(axis=1)
-    top, below, left, right = (
-        a.argmax(axis=1)[:, None]
-        for a in (ink_rows, ink_rows[:, ::-1], ink_cols, ink_cols[:, ::-1])
-    )
-    # resize_nearest's rule on each cropped box
-    rows = top + np.arange(n) * (masks.shape[1] - below - top) // n
-    cols = left + np.arange(n) * (masks.shape[2] - right - left) // n
-    batch = np.arange(len(masks))[:, None, None]
-    return masks[batch, rows[:, :, None], cols[:, None, :]], cuts.tolist()

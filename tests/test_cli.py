@@ -209,8 +209,9 @@ class TestFeaturize:
     ):
         out = synth_corpus(tmp_path, count=2)
         capsys.readouterr()
-        # The 32x32 group is featurized first, whichever blank row comes
-        # first; a raster of zeros only is as blank as any other uniform one.
+        # Glyphs are featurized in manifest order, so the first blank row is
+        # named, whatever its shape; a raster of zeros only is as blank as
+        # any other uniform one.
         (out / "blank-small.pgm").write_bytes(b"P2 4 4 255\n" + b"0 " * 16)
         (out / "blank-big.pgm").write_bytes(b"P5 32 32 255\n" + b"\xc8" * 1024)
         blanks = ["blank-small.pgm,ring", "blank-big.pgm,cup"]

@@ -13,7 +13,6 @@ from glyphspect.imaging import (
     GrayImage,
     binarize_otsu,
     crop_to_bbox,
-    normalize_glyphs,
     resize_to_square,
 )
 from glyphspect.svm import ModelMeta
@@ -346,23 +345,34 @@ def test_batch_featurize_equals_per_glyph_bit_for_bit(samples, n, data, normaliz
     m = data.draw(st.integers(1, n))
     meta = ModelMeta(n=n, m=m, seed=0, normalize=normalize)
     vectors, labels = cli._featurize_samples(samples, meta)
-    expected, thresholds = [], []
+    expected = []
     for sample in samples:
-        mask, t = binarize_otsu(sample.image)
-        square = resize_to_square(crop_to_bbox(mask), n)
+        square = resize_to_square(crop_to_bbox(binarize_otsu(sample.image)[0]), n)
         expected.append(extract_features(square, m, normalize).values)
-        thresholds.append(t)
     assert labels == [s.label for s in samples]
     assert [[v.hex() for v in row] for row in vectors.tolist()] == [
         [v.hex() for v in row] for row in expected
     ]
-    by_shape = {}
-    for i, sample in enumerate(samples):
-        by_shape.setdefault(sample.image.pixels.shape, []).append(i)
-    for rows in by_shape.values():
-        stack = np.stack([samples[i].image.pixels for i in rows])
-        masks, got = normalize_glyphs(stack, n)
-        assert got == [thresholds[i] for i in rows]
-        for i, mask in zip(rows, masks):
-            square = resize_to_square(crop_to_bbox(binarize_otsu(samples[i].image)[0]), n)
-            assert np.array_equal(mask, square.pixels)
+
+
+def test_batch_featurize_names_the_first_blank_past_the_first_block():
+    # uniform rasters in the second and third blocks: the earlier is named
+    rng = np.random.default_rng(5)
+    blanks = (cli._BLOCK + 1, 2 * cli._BLOCK + 1)
+    samples = []
+    for i in range(2 * cli._BLOCK + 3):
+        pixels = np.full((6, 6), 90, dtype=np.uint8)
+        if i not in blanks:
+            pixels = rng.integers(0, 256, (6, 6), dtype=np.uint8)
+            pixels[0, :2] = (0, 255)
+        samples.append(GlyphSample(GrayImage(6, 6, pixels), "a", f"g{i}.pgm"))
+    meta = ModelMeta(n=4, m=2, seed=0, normalize=False)
+    with pytest.raises(ValueError, match=rf"^'g{blanks[0]}\.pgm': empty glyph$"):
+        cli._featurize_samples(samples, meta)
+    vectors, _ = cli._featurize_samples(samples[: blanks[0]], meta)
+    assert vectors.shape == (blanks[0], 4)
+
+
+def test_batch_featurize_of_no_samples():
+    vectors, labels = cli._featurize_samples([], ModelMeta(n=3, m=2, seed=0, normalize=True))
+    assert vectors.shape == (0, 4) and labels == []

@@ -36,7 +36,10 @@ def corpus(request, tmp_path_factory):
     samples = dataset.load_manifest(manifest)
     golden = _GOLDEN[request.param]
     assert [s.source_id for s in samples] == golden["source_ids"]
-    masks, cuts = imaging.normalize_glyphs(np.stack([s.image.pixels for s in samples]), 32)
+    binaries, cuts = zip(*(imaging.binarize_otsu(s.image) for s in samples))
+    masks = np.stack(
+        [imaging.resize_to_square(imaging.crop_to_bbox(b), 32).pixels for b in binaries]
+    )
     return golden, samples, masks, cuts
 
 
@@ -46,9 +49,8 @@ def _rows(golden, normalize):
 
 
 def test_otsu_thresholds_are_exact(corpus):
-    golden, samples, _, cuts = corpus
+    golden, _, _, cuts = corpus
     assert list(cuts) == golden["thresholds"]
-    assert [imaging.binarize_otsu(s.image)[1] for s in samples] == golden["thresholds"]
 
 
 @pytest.mark.parametrize("normalize", [False, True])

@@ -16,7 +16,6 @@ from glyphspect.imaging import (
     binary_to_gray,
     crop_to_bbox,
     load_pgm,
-    normalize_glyphs,
     resize_nearest,
     resize_to_square,
     write_pgm,
@@ -564,19 +563,13 @@ class TestCropToBbox:
         ],
         ids=["all-borders", "one-pixel", "corner", "1xk", "kx1", "top-row"],
     )
-    def test_matches_the_batch_crop_rule(self, grid):
+    def test_matches_the_nonzero_box(self, grid):
         pixels = [[c == "1" for c in row] for row in grid]
         mask = BinaryImage(len(grid[0]), len(grid), pixels)
         out = crop_to_bbox(mask)
         rows, cols = np.nonzero(mask.pixels)
         box = mask.pixels[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
         assert out.pixels.tolist() == box.tolist()
-        # normalize_glyphs crops the same box: ink 0 on 255 thresholds back to
-        # the mask, and resizing either crop to n gives the same raster
-        gray = binary_to_gray(mask).pixels
-        for n in (1, 2, out.width, out.height, max(mask.width, mask.height) + 1):
-            batch, _ = normalize_glyphs(gray[None], n)
-            assert resize_to_square(out, n).pixels.tolist() == batch[0].tolist()
 
     def test_empty_glyph(self):
         with pytest.raises(EmptyGlyphError, match="empty glyph"):
@@ -584,9 +577,8 @@ class TestCropToBbox:
 
     @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (1, 1)], ids=["1xk", "kx1", "1x1"])
     def test_empty_thin_mask(self, shape):
-        with pytest.raises(EmptyGlyphError, match="^empty glyph$") as caught:
+        with pytest.raises(EmptyGlyphError, match="^empty glyph$"):
             crop_to_bbox(BinaryImage(shape[1], shape[0], np.zeros(shape, dtype=bool)))
-        assert caught.value.index == 0
 
     def test_idempotent(self):
         rng = random.Random(11)
@@ -635,19 +627,13 @@ class TestResizeToSquare:
                     assert int(out.pixels[r, c]) == int(img.pixels[r * h // n, c * w // n])
 
 
-class TestNormalizeGlyphs:
-    def test_names_the_first_inkless_raster(self):
-        stack = np.zeros((4, 3, 3), dtype=np.uint8)
-        stack[0, 1, 1] = stack[3, 0, 0] = 200  # rasters 1 and 2 are uniform
-        stack[2] = 9
-        with pytest.raises(EmptyGlyphError, match="^empty glyph$") as caught:
-            normalize_glyphs(stack, 4)
-        assert caught.value.index == 1
-
-    @pytest.mark.parametrize("size, n", [(32, 32), (32, 20), (96, 32), (96, 40)])
-    def test_mixed_stack_matches_one_image_path(self, size, n):
-        # two-level, multi-level and uniform rasters interleaved: the closed
-        # form and the histogram scan each take their own rasters of the stack
+class TestOneGlyphChain:
+    @pytest.mark.parametrize("size", [32, 96])
+    @pytest.mark.parametrize("n", [20, 32, 40])
+    def test_raster_kinds_match_the_oracles(self, size, n):
+        # two-level, multi-level and uniform rasters: binarize_otsu's closed
+        # form and its histogram scan, then crop_to_bbox and resize_to_square,
+        # each checked against a rule written out from scratch
         rng = np.random.default_rng(size + n)
 
         def blob(lo, hi):
@@ -667,29 +653,25 @@ class TestNormalizeGlyphs:
         three = blob(0, 255)
         three[0, 0] = 128
         noise = rng.integers(0, 256, (size, size), dtype=np.uint8)
-        stack = [blob(0, 255), blurred(blob(0, 255)), blob(0, 1), three]
-        stack += [blob(254, 255), lone, noise, blurred(blob(30, 200))]
-        masks, cuts = normalize_glyphs(np.stack(stack), n)
-        for raster, mask, cut in zip(stack, masks, cuts):
-            one, t = binarize_otsu(GrayImage(size, size, raster))
-            assert cut == t
-            assert mask.tolist() == resize_to_square(crop_to_bbox(one), n).pixels.tolist()
+        kinds = [blob(0, 255), blurred(blob(0, 255)), blob(0, 1), three]
+        kinds += [blob(254, 255), lone, noise, blurred(blob(30, 200))]
+        for raster in kinds:
+            gray = GrayImage(size, size, raster)
+            mask, t = binarize_otsu(gray)
+            assert t == otsu_histogram_oracle(raster.ravel().tolist())
+            assert mask.pixels.tolist() == otsu_mask(gray, t)
+            rows, cols = np.nonzero(mask.pixels)
+            top, left = int(rows.min()), int(cols.min())
+            height, width = int(rows.max()) + 1 - top, int(cols.max()) + 1 - left
+            want = [
+                [bool(mask.pixels[top + r * height // n, left + c * width // n]) for c in range(n)]
+                for r in range(n)
+            ]
+            assert resize_to_square(crop_to_bbox(mask), n).pixels.tolist() == want
         for level in (0, 255, 77):
-            for at in (0, 3, len(stack)):
-                mixed = stack[:at] + [np.full((size, size), level, dtype=np.uint8)] + stack[at:]
-                with pytest.raises(EmptyGlyphError, match="^empty glyph$") as caught:
-                    normalize_glyphs(np.stack(mixed), n)
-                assert caught.value.index == at
-                with pytest.raises(EmptyGlyphError):
-                    crop_to_bbox(binarize_otsu(GrayImage(size, size, mixed[at]))[0])
-
-    def test_empty_stack(self):
-        masks, thresholds = normalize_glyphs(np.zeros((0, 5, 2), dtype=np.uint8), 3)
-        assert masks.shape == (0, 3, 3) and thresholds == []
-
-    def test_rejects_zero_target_size(self):
-        with pytest.raises(ValueError, match="target size must be a positive integer"):
-            normalize_glyphs(np.zeros((1, 2, 2), dtype=np.uint8), 0)
+            uniform = GrayImage(size, size, np.full((size, size), level, dtype=np.uint8))
+            with pytest.raises(EmptyGlyphError, match="^empty glyph$"):
+                crop_to_bbox(binarize_otsu(uniform)[0])
 
 
 class TestHandedOverImages:
