@@ -303,12 +303,6 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _add_settings(parser, *names):
-    """The named settings' flags: only those its subcommand reads."""
-    for name in names:
-        parser.add_argument("--" + name, default=None, **_SETTINGS[name])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="glyphspect",
@@ -318,74 +312,61 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser(
-        "synth", help="generate a perturbed synthetic glyph corpus"
-    )
-    p_synth.add_argument(
-        "--out", required=True, help="output directory for PGMs and manifest"
-    )
-    p_synth.add_argument(
-        "--templates", default=None,
-        help="directory of template .pgm files (default: bundled glyph set)",
-    )
-    p_synth.add_argument(
-        "--count", type=int, default=24,
-        help="samples per class (default: 24)",
-    )
-    p_synth.add_argument(
-        "--flips", type=float, default=0.02,
-        help="per-pixel noise flip probability (default: 0.02)",
-    )
-    p_synth.add_argument(
-        "--max-shift", type=int, default=2,
-        help="max random translation in pixels (default: 2)",
-    )
-    p_synth.add_argument(
-        "--scale-jitter", type=float, default=0.0,
-        help="relative size perturbation in [0, 0.5] (default: 0)",
-    )
-    _add_settings(p_synth, "n", "seed")
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_feat = sub.add_parser(
-        "featurize", help="print 'label,f_1,...,f_2M' lines for a manifest"
-    )
-    _add_settings(p_feat, "manifest")
-    p_feat.add_argument(
-        "--out", default=None, help="output file (default: standard output)"
-    )
-    _add_settings(p_feat, "n", "m", "normalize-l2")
-    p_feat.set_defaults(func=cmd_featurize)
-
-    p_train = sub.add_parser(
-        "train", help="train one RBF-SVM per registry pair"
-    )
-    _add_settings(
-        p_train, "manifest", "registry", "model", "n", "m", "gamma", "c", "seed",
-        "normalize-l2",
-    )
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser(
-        "evaluate", help="score the held-out half and print the report table"
-    )
-    _add_settings(p_eval, "model", "manifest", "csv")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_pred = sub.add_parser(
-        "predict", help="classify a single glyph image"
-    )
-    _add_settings(p_pred, "model")
-    p_pred.add_argument("image", help="PGM glyph image to classify")
-    p_pred.set_defaults(func=cmd_predict)
-
-    for p_sub in sub.choices.values():
+    # Each subcommand's function, help line and flags in --help order: a
+    # _SETTINGS name, or a (flag, argparse keywords) pair only it takes. Built
+    # per call, so a cmd_* function replaced after import is the one it runs.
+    commands = {
+        "synth": (cmd_synth, "generate a perturbed synthetic glyph corpus", (
+            ("--out", dict(required=True, help="output directory for PGMs and manifest")),
+            ("--templates", dict(
+                default=None,
+                help="directory of template .pgm files (default: bundled glyph set)",
+            )),
+            ("--count", dict(
+                type=int, default=24, help="samples per class (default: 24)"
+            )),
+            ("--flips", dict(
+                type=float, default=0.02,
+                help="per-pixel noise flip probability (default: 0.02)",
+            )),
+            ("--max-shift", dict(
+                type=int, default=2, help="max random translation in pixels (default: 2)"
+            )),
+            ("--scale-jitter", dict(
+                type=float, default=0.0,
+                help="relative size perturbation in [0, 0.5] (default: 0)",
+            )),
+            "n", "seed",
+        )),
+        "featurize": (cmd_featurize, "print 'label,f_1,...,f_2M' lines for a manifest", (
+            "manifest",
+            ("--out", dict(default=None, help="output file (default: standard output)")),
+            "n", "m", "normalize-l2",
+        )),
+        "train": (cmd_train, "train one RBF-SVM per registry pair", (
+            "manifest", "registry", "model", "n", "m", "gamma", "c", "seed",
+            "normalize-l2",
+        )),
+        "evaluate": (
+            cmd_evaluate, "score the held-out half and print the report table",
+            ("model", "manifest", "csv"),
+        ),
+        "predict": (cmd_predict, "classify a single glyph image", (
+            "model", ("image", dict(help="PGM glyph image to classify")),
+        )),
+    }
+    for command, (func, help_line, flags) in commands.items():
+        p_sub = sub.add_parser(command, help=help_line)
+        for flag in flags:
+            if isinstance(flag, str):
+                p_sub.add_argument("--" + flag, default=None, **_SETTINGS[flag])
+            else:
+                p_sub.add_argument(flag[0], **flag[1])
+        p_sub.set_defaults(func=func)
         p_sub.add_argument(
             "--config", default=None,
             help="optional JSON config file; explicit flags win (default: none)",
         )
-
     return parser
 
 

@@ -82,7 +82,7 @@ def evaluate_pair(
     if len(features) != len(labels):
         raise ValueError("features and labels lengths differ")
     positive, negative = model.pos_class, model.neg_class
-    # predict_pair's rule, positive on decision >= 0, on every row at once
+    # vote's rule, a value >= 0 goes to the positive class, on every row at once
     tally = Counter(zip(labels, (decisions(model, features) >= 0.0).tolist()))
     for label, _ in tally:
         if label not in (positive, negative):

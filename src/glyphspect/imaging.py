@@ -111,14 +111,18 @@ _HEADER = re.compile(rb"(?:\s+|#[^\r\n]*)*([^\s#]*)" * 4)
 
 
 def _header_int(token: bytes, field: str) -> int:
+    """The header field's value: plain ASCII digits naming a positive integer."""
     if not token:
         raise PgmParseError(f"missing {field} in header")
     if not token.isdigit():  # bytes.isdigit accepts ASCII digits only
         raise PgmParseError(f"invalid {field} {token!r}")
     try:
-        return int(token)
+        value = int(token)
     except ValueError:  # past the interpreter's int-conversion digit limit
         raise PgmParseError(f"{field} has too many digits") from None
+    if value < 1:
+        raise PgmParseError(f"{field} must be positive, got {value}")
+    return value
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -138,13 +142,7 @@ def load_pgm(data: bytes) -> GrayImage:
         raise PgmParseError(f"malformed magic number {magic!r}: expected P2 or P5")
     width = _header_int(header[2], "width")
     height = _header_int(header[3], "height")
-    if width < 1:
-        raise PgmParseError(f"width must be positive, got {width}")
-    if height < 1:
-        raise PgmParseError(f"height must be positive, got {height}")
     maxval = _header_int(header[4], "maxval")
-    if maxval < 1:
-        raise PgmParseError(f"maxval must be positive, got {maxval}")
     if maxval > 255:
         raise PgmParseError(f"maxval {maxval} exceeds 255")
 

@@ -40,7 +40,6 @@ __all__ = [
     "train_smo",
     "decision",
     "decisions",
-    "predict_pair",
     "train_pairwise",
     "vote",
     "predict_multiclass",
@@ -354,11 +353,6 @@ def decision(model: SvmModel, x: Sequence[float]) -> float:
     return float(_kernel(model._sv, x, model.gamma).dot(model._coef)) + model.bias
 
 
-def predict_pair(model: SvmModel, x: Sequence[float]) -> str:
-    """Positive class on decision >= 0 (ties at exactly zero go positive)."""
-    return model.pos_class if decision(model, x) >= 0.0 else model.neg_class
-
-
 class ModelMeta(_FrozenValue):
     """Pipeline facts baked into a model file: raster side, coefficient count,
     the split seed, and whether feature vectors were L2-normalized. A side,
@@ -497,7 +491,8 @@ def train_pairwise(
 
 def vote(pm: PairwiseModel, values: Sequence[float]) -> tuple[str, dict[str, int]]:
     """Majority vote given each pair machine's decision value, in model order:
-    predict_pair's side per machine; ties go to the earliest class."""
+    a value >= 0 (exactly zero included) votes for the machine's positive
+    class; ties go to the earliest class."""
     votes = {cls: 0 for cls in pm.classes}
     for mdl, value in zip(pm.models, values, strict=True):
         votes[mdl.pos_class if value >= 0.0 else mdl.neg_class] += 1

@@ -56,23 +56,38 @@ OPTIONS = {
 }
 
 
+def subcommand_parsers():
+    """build_parser()'s subparser of each subcommand, by name."""
+    return next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+
+def declared_options(parser):
+    return [option for action in parser._actions for option in action.option_strings]
+
+
 class TestHelp:
     @pytest.mark.parametrize("command", list(OPTIONS))
     def test_help_lists_flags_with_defaults(self, command, capsys):
-        subparsers = next(
-            action for action in cli.build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        assert list(subparsers.choices) == list(OPTIONS)
-        declared = [
-            option for action in subparsers.choices[command]._actions
-            for option in action.option_strings
-        ]
+        parsers = subcommand_parsers()
+        assert list(parsers) == list(OPTIONS)
+        declared = declared_options(parsers[command])
         assert declared == ["-h", "--help", *OPTIONS[command].split(), "--config"]
         assert run([command, "--help"]) == 0
         text = capsys.readouterr().out
         assert "default" in text
         assert set(declared) <= set(text.replace(",", " ").split())
+
+    def test_every_setting_is_a_flag_of_some_subcommand(self):
+        # the config file drops a key the running subcommand lacks without a
+        # word, so a setting no subcommand takes would be a key none reads
+        flags = {
+            option for parser in subcommand_parsers().values()
+            for option in declared_options(parser)
+        }
+        assert {"--" + name for name in cli._SETTINGS} <= flags
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["train", "--nonsense"]) == 1
@@ -1158,9 +1173,14 @@ def test_console_script_enters_through_run():
     try:
         dist = importlib.metadata.distribution("glyphspect")
     except importlib.metadata.PackageNotFoundError:
-        pytest.skip("no installed glyphspect metadata, as under PYTHONPATH=src")
-    scripts = [
-        ep.value for ep in dist.entry_points
-        if ep.group == "console_scripts" and ep.name == "glyphspect"
-    ]
+        # not installed, as under PYTHONPATH=src: the script pyproject.toml declares
+        tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        scripts = [project["scripts"].get("glyphspect")]
+    else:
+        scripts = [
+            ep.value for ep in dist.entry_points
+            if ep.group == "console_scripts" and ep.name == "glyphspect"
+        ]
     assert scripts == ["glyphspect.cli:run"]

@@ -299,6 +299,9 @@ class TestLoadPgm:
     def test_zero_width(self):
         with pytest.raises(PgmParseError, match="width"):
             load_pgm(b"P2 0 2 255\n")
+        # the first faulty field in header order is the one named
+        with pytest.raises(PgmParseError, match="^width must be positive, got 0$"):
+            load_pgm(b"P2 0 x 255\n")
 
     def test_zero_height(self):
         with pytest.raises(PgmParseError, match="height"):

@@ -19,7 +19,6 @@ from glyphspect.svm import (
     decision,
     load_model,
     predict_multiclass,
-    predict_pair,
     rbf_kernel,
     save_model,
     train_pairwise,
@@ -117,8 +116,7 @@ class TestTrainSmo:
             0,
         )
         assert decision(model, (0.0,)) < 0 < decision(model, (1.0,))
-        assert predict_pair(model, (0.0,)) == "neg"
-        assert predict_pair(model, (1.0,)) == "pos"
+        assert (model.pos_class, model.neg_class) == ("pos", "neg")
 
     def test_xor_with_rbf(self):
         x = ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
@@ -127,8 +125,7 @@ class TestTrainSmo:
             TrainingSet(x, y), KernelParams(gamma=1.0, c=10.0), 7, debug=True
         )
         for xi, yi in zip(x, y):
-            want = "pos" if yi > 0 else "neg"
-            assert predict_pair(model, xi) == want
+            assert (decision(model, xi) >= 0.0) == (yi > 0)
 
     def test_dual_feasibility_and_kkt(self):
         rng = random.Random(40)
@@ -276,12 +273,20 @@ class TestDecision:
             )
 
 
-class TestPredictPair:
+class TestPairSide:
+    """vote's rule for one machine: a decision >= 0 goes to its positive class."""
+
+    @staticmethod
+    def side(model):
+        pm = PairwiseModel((model,), (model.pos_class, model.neg_class))
+        winner, _ = vote(pm, [decision(model, (0.0,))])
+        return winner
+
     def test_positive_side(self):
-        assert predict_pair(stub_model("a", "b", +1), (0.0,)) == "a"
+        assert self.side(stub_model("a", "b", +1)) == "a"
 
     def test_negative_side(self):
-        assert predict_pair(stub_model("a", "b", -1), (0.0,)) == "b"
+        assert self.side(stub_model("a", "b", -1)) == "b"
 
     def test_tie_goes_positive(self):
         model = SvmModel(
@@ -296,7 +301,7 @@ class TestPredictPair:
             c=10.0,
         )
         assert decision(model, (0.0,)) == 0.0
-        assert predict_pair(model, (0.0,)) == "a"
+        assert self.side(model) == "a"
 
 
 class TestKernelParams:
@@ -536,13 +541,16 @@ class TestTrainPairwise:
         assert votes["d"] == 3
         assert sum(votes.values()) == 6
 
-    def test_two_class_matches_predict_pair(self):
+    def test_two_class_matches_decision_sign(self):
         xs = [(0.0,), (0.1,), (1.0,), (1.1,)]
         labels = ["a", "a", "b", "b"]
         pm = train_pairwise(xs, labels, KernelParams(gamma=1.0), 0)
         for probe in ((-0.2,), (0.4,), (1.3,)):
             winner, _ = predict_multiclass(pm, probe)
-            assert winner == predict_pair(pm.models[0], probe)
+            mdl = pm.models[0]
+            assert winner == (
+                mdl.pos_class if decision(mdl, probe) >= 0.0 else mdl.neg_class
+            )
 
     def test_multiclass_dimension_mismatch(self):
         pm = PairwiseModel((stub_model("a", "b", +1, dim=2),), ("a", "b"))
@@ -567,8 +575,10 @@ class TestTrainPairwise:
             block = svm._decision_values(pm, probe)
             assert [v.hex() for v in block] == [v.hex() for v in values]
             assert vote(pm, values) == predict_multiclass(pm, probe)
-        # the zero machine's vote goes positive, as predict_pair's does
-        assert predict_pair(zero_at_origin, (0.0, 0.0)) == "d"
+        # the zero machine's vote goes to its positive class, d
+        assert vote(PairwiseModel((zero_at_origin,), ("d", "a")), [0.0]) == (
+            "d", {"d": 1, "a": 0}
+        )
         less = PairwiseModel(pm.models[:-1], pm.classes)
         _, without = predict_multiclass(less, (0.0, 0.0))
         _, votes = predict_multiclass(pm, (0.0, 0.0))
@@ -850,7 +860,7 @@ def test_batch_decision_equals_row_by_row(seed, rows, support, dim):
     labels = rng.choice(["p", "q"], size=rows).tolist()
     tally = {(t, p): 0 for t in "pq" for p in "pq"}
     for row, truth in zip(x.tolist(), labels):
-        tally[truth, predict_pair(model, row)] += 1
+        tally[truth, "p" if decision(model, row) >= 0.0 else "q"] += 1
     counts = evaluation.evaluate_pair(model, x, labels)
     assert (counts.tp, counts.fn, counts.fp, counts.tn) == (
         tally["p", "p"], tally["p", "q"], tally["q", "p"], tally["q", "q"]
