@@ -60,7 +60,8 @@ class RegistryError(ValueError):
 
 
 class SynthesisError(RuntimeError):
-    """Raised when perturbation repeatedly erases every ink pixel."""
+    """Raised when every retry of a sample ends with no ink: the noise or
+    the n x n resize dropped every ink pixel."""
 
 
 class GlyphSample(_FrozenValue):
@@ -202,20 +203,16 @@ def split_even(
         by_class.setdefault(sample.label, []).append(idx)
     if not by_class:
         raise ValueError("no samples to split")
+    rng = random.Random(seed)
+    train_idx: set[int] = set()
     for label, idxs in by_class.items():
         if len(idxs) < 2:
             raise ValueError(
                 f"class {label!r} has only {len(idxs)} sample(s); "
                 "need at least 2 to split"
             )
-
-    rng = random.Random(seed)
-    train_idx: set[int] = set()
-    for label, idxs in by_class.items():
-        shuffled = list(idxs)
-        rng.shuffle(shuffled)
-        take = (len(shuffled) + 1) // 2
-        train_idx.update(shuffled[:take])
+        rng.shuffle(idxs)
+        train_idx.update(idxs[: (len(idxs) + 1) // 2])
 
     train = [s for i, s in enumerate(samples) if i in train_idx]
     test = [s for i, s in enumerate(samples) if i not in train_idx]
@@ -230,8 +227,8 @@ def synth_generate(
     Each sample applies, in order: scale jitter (factor in [1-j, 1+j]),
     random translation up to max_shift inside a padded canvas, independent
     per-pixel flips, then bounding-box crop and square resize to n. A draw
-    whose flips erase every ink pixel is discarded and redrawn, up to a
-    bounded retry count. The sequence is fully determined by params.seed;
+    whose flips or resize leave no ink pixel is discarded and redrawn, up
+    to a bounded retry count. The sequence is fully determined by params.seed;
     classes iterate in sorted label order.
     """
     if n < 1:
@@ -245,7 +242,6 @@ def synth_generate(
     for label in sorted(templates):
         template = templates[label]
         for i in range(params.count):
-            normalized = None
             for _ in range(_MAX_RETRIES):
                 candidate = _perturb(template, params, rng)
                 if candidate.ink_count == 0:
@@ -253,16 +249,13 @@ def synth_generate(
                 squared = resize_to_square(crop_to_bbox(candidate), n)
                 # a severe downscale can also drop every ink pixel
                 if squared.ink_count > 0:
-                    normalized = squared
                     break
-            if normalized is None:
+            else:
                 raise SynthesisError(
-                    f"class '{label}': noise erased all ink in "
-                    f"{_MAX_RETRIES} consecutive draws"
+                    f"class '{label}': no ink left after noise and the {n}x{n} "
+                    f"resize in {_MAX_RETRIES} consecutive draws"
                 )
-            samples.append(
-                GlyphSample(normalized, label, f"synth:{label}:{i:03d}")
-            )
+            samples.append(GlyphSample(squared, label, f"synth:{label}:{i:03d}"))
     return samples
 
 

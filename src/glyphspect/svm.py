@@ -473,19 +473,11 @@ def train_pairwise(
 
     models = []
     for pos, neg in registry.pairs:
-        xs = []
-        ys = []
-        for row, label in zip(features, labels):
-            if label == pos:
-                xs.append(row)
-                ys.append(1)
-            elif label == neg:
-                xs.append(row)
-                ys.append(-1)
-        data = TrainingSet(tuple(xs), tuple(ys))
-        models.append(
-            train_smo(data, params, seed, pos_class=pos, neg_class=neg)
-        )
+        # input order, +1 for pos; both classes occur, as checked above
+        rows = [(row, 1 if label == pos else -1)
+                for row, label in zip(features, labels) if label in (pos, neg)]
+        data = TrainingSet(*zip(*rows))
+        models.append(train_smo(data, params, seed, pos_class=pos, neg_class=neg))
     return PairwiseModel(tuple(models), registry.classes, meta)
 
 

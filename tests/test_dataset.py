@@ -263,6 +263,19 @@ class TestSplitEven:
             assert sum(s.label == "b" for s in train) == 2
             assert sum(s.label == "c" for s in train) == 5
 
+    def test_partition_is_pinned(self):
+        # a model file keeps only its split seed and evaluate draws the test
+        # half again, so a changed draw order would score training glyphs
+        samples = make_samples({"a": 7, "b": 4, "c": 9})
+        expected = {
+            0: "a:0 a:1 a:2 a:4 b:0 b:2 c:0 c:2 c:6 c:7 c:8",
+            7: "a:0 a:4 a:5 a:6 b:0 b:1 c:1 c:2 c:4 c:5 c:7",
+            42: "a:1 a:2 a:3 a:4 b:0 b:3 c:0 c:2 c:5 c:6 c:7",
+        }
+        for seed, ids in expected.items():
+            train, _ = split_even(samples, seed)
+            assert [s.source_id for s in train] == ids.split()
+
     def test_no_samples(self):
         with pytest.raises(ValueError, match="no samples to split"):
             split_even([], 0)
@@ -355,6 +368,18 @@ class TestSynthGenerate:
         params = SynthParams(flips=1.0, max_shift=0, count=1, seed=0)
         with pytest.raises(SynthesisError, match="100"):
             synth_generate({"dot": template}, params, 8)
+
+    def test_resize_that_drops_all_ink_exhausts_retries(self):
+        # ink only in two opposite corners: the 1x1 nearest resize samples the
+        # blank centre, with no noise at all
+        corner = BinaryImage(3, 3, (0, 0, 1, 0, 0, 0, 1, 0, 0))
+        params = SynthParams(flips=0.0, max_shift=0, count=1, seed=0)
+        with pytest.raises(SynthesisError) as info:
+            synth_generate({"corner": corner}, params, 1)
+        assert str(info.value) == (
+            "class 'corner': no ink left after noise and the 1x1 resize "
+            "in 100 consecutive draws"
+        )
 
     def test_erased_draw_is_retried(self):
         template = BinaryImage(1, 1, (1,))

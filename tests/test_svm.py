@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glyphspect import evaluation, svm
+from glyphspect import dataset, evaluation, features, svm
 from glyphspect.svm import (
     ConvergenceError,
     DegenerateTrainingError,
@@ -531,6 +531,22 @@ class TestTrainPairwise:
                 xs, labels, KernelParams(gamma=1.0), 0, pairs=[("a", "b"), ("b", "a")]
             )
         assert calls == []
+
+    def test_takes_the_feature_rows_array(self):
+        # feature_rows returns an (N, 2m) ndarray; each pair iterates its rows
+        samples = dataset.synth_generate(
+            dataset.builtin_templates(),
+            dataset.SynthParams(flips=0.05, max_shift=2, count=6, seed=3),
+            16,
+        )
+        rows = features.feature_rows(np.stack([s.image.pixels for s in samples]), 8)
+        labels = [s.label for s in samples]
+        args = (KernelParams(gamma=2.0), 0, dataset.builtin_registry().pairs,
+                ModelMeta(n=16, m=8, seed=0))
+        from_array = train_pairwise(rows, labels, *args)
+        from_lists = train_pairwise(rows.tolist(), labels, *args)
+        assert from_array == from_lists
+        assert save_model(from_array) == save_model(from_lists)
 
     def test_multiclass_prediction_votes(self):
         rng = random.Random(62)
