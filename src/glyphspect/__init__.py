@@ -8,8 +8,9 @@ The root re-exports every module's public names; each module's `__all__`
 is the one list of them. Nothing is imported until used (PEP 562): reading
 a module, one of its names, or the root's `__all__` loads what it needs,
 so a process that runs `predict` never loads `dataset` or `evaluation`.
-The root also holds `_FrozenValue`, the base of every value type.
+It also holds `_FrozenValue`, every value type's base, and their number rules.
 """
+import math
 
 _MODULES = ("imaging", "features", "svm", "dataset", "evaluation")
 _SUBMODULES = (*_MODULES, "cli")  # `cli` is a submodule, not re-exported
@@ -38,6 +39,38 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *_SUBMODULES, *__getattr__("__all__")})
+
+
+_TEXT = (str, bytes, bytearray)  # float() and numpy parse these; no number is text
+
+
+def _numbers(values) -> tuple:
+    """The values of an iterable, read once, with their types checked once
+    per distinct type; text, or text among them, raises TypeError."""
+    values = (values,) if isinstance(values, _TEXT) else tuple(values)
+    if any(issubclass(k, _TEXT) for k in set(map(type, values))):
+        raise TypeError("expected numbers, got text")
+    return values
+
+
+def _float(value) -> float:
+    """float(value) of a number, text refused with TypeError; an integer past
+    the float range becomes +-inf, which each caller refuses, not OverflowError."""
+    if isinstance(value, _TEXT):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _floats(values) -> tuple[float, ...]:
+    """_float() of each of _numbers(values)."""
+    values = _numbers(values)
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return tuple(map(_float, values))
 
 
 class _FrozenValue:

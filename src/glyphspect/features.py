@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _FrozenValue
+from . import _FrozenValue, _floats, _numbers
 from .imaging import BinaryImage
 
 __all__ = [
@@ -36,29 +36,38 @@ __all__ = [
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only copy of `values` as `dtype`. Text, and values numpy would
+    cast to `dtype` only across kinds (a float to int64; None or a huge int,
+    held as objects), raise TypeError."""
+    arr = np.asarray(_numbers(values))
+    if arr.size and not np.can_cast(arr.dtype, dtype, "same_kind"):
+        raise TypeError(f"expected {np.dtype(dtype)} values, got {arr.dtype}")
+    arr = arr.astype(dtype)
     arr.setflags(write=False)
     return arr
 
 
 class ProjectionPair(_FrozenValue):
-    """Row and column ink counts of an n-by-n binary image (read-only arrays)."""
+    """Row and column ink counts of an n-by-n binary image, n = len(h), as
+    read-only arrays. Empty, non-1-D or unequal-length projections, counts
+    outside [0, n] or unequal ink totals raise ValueError; non-integers TypeError."""
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __init__(self, h: np.ndarray, v: np.ndarray, n: int):
-        self.__dict__.update(h=_frozen(h, np.int64), v=_frozen(v, np.int64), n=n)
-        if self.h.shape != (self.n,) or self.v.shape != (self.n,):
-            raise ValueError("projection length does not match n")
+    def __init__(self, h: np.ndarray, v: np.ndarray):
+        self.__dict__.update(h=_frozen(h, np.int64), v=_frozen(v, np.int64))
+        if self.h.ndim != 1 or not self.h.size or self.h.shape != self.v.shape:
+            raise ValueError("projections must be 1-D, non-empty and of one length")
         h, v = self.h.tolist(), self.v.tolist()  # builtins beat tiny numpy reductions
-        if min(h + v) < 0 or max(h + v) > self.n:
-            raise ValueError(f"projection count outside [0, {self.n}]")
+        if min(h + v) < 0 or max(h + v) > len(h):
+            raise ValueError(f"projection count outside [0, {len(h)}]")
         if sum(h) != sum(v):
             raise ValueError("row and column projections must count the same ink")
 
 
 class Spectrum(_FrozenValue):
-    """Complex DFT coefficients of one projection signal (read-only array)."""
+    """Complex DFT coefficients of one projection signal (read-only array).
+    No coefficient is a ValueError; text, None or a huge int a TypeError."""
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
@@ -72,22 +81,21 @@ class Spectrum(_FrozenValue):
 
 
 class FeatureVector(_FrozenValue):
-    """2m nonnegative reals: m truncated magnitudes per projection axis."""
+    """2m finite nonnegative reals, m >= 1: m truncated magnitudes per axis.
+    Another count or value raises ValueError, a non-number (text too) TypeError."""
 
-    def __init__(self, values: tuple[float, ...], m: int):
-        self.__dict__.update(values=tuple(map(float, values)), m=m)
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if len(self.values) != 2 * self.m:
-            raise ValueError(f"expected {2 * self.m} values, got {len(self.values)}")
-        if min(self.values) < 0:
-            raise ValueError("feature magnitudes must be nonnegative")
+    def __init__(self, values: tuple[float, ...]):
+        self.__dict__["values"] = _floats(values)
+        if not self.values or len(self.values) % 2:
+            raise ValueError(f"expected 2m values, m >= 1, got {len(self.values)}")
+        if not all(0.0 <= v < math.inf for v in self.values):  # NaN fails too
+            raise ValueError("feature magnitudes must be finite and nonnegative")
 
     @classmethod
-    def _adopt(cls, values: tuple[float, ...], m: int) -> FeatureVector:
+    def _adopt(cls, values: tuple[float, ...]) -> FeatureVector:
         """2m float magnitudes this module has just computed, unchecked."""
         vec = object.__new__(cls)  # fields set as the frozen __init__ would
-        vec.__dict__["values"], vec.__dict__["m"] = values, m
+        vec.__dict__["values"] = values
         return vec
 
 
@@ -97,7 +105,7 @@ def project(img: BinaryImage) -> ProjectionPair:
         raise ValueError(
             f"projection requires a square image, got {img.width}x{img.height}"
         )
-    return ProjectionPair(img.pixels.sum(axis=1), img.pixels.sum(axis=0), img.width)
+    return ProjectionPair(img.pixels.sum(axis=1), img.pixels.sum(axis=0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -195,4 +203,4 @@ def extract_features(
     values = _spectra(img.pixels, m)
     if normalize:
         values /= _l2_norm(np.square(values).tolist())
-    return FeatureVector._adopt(tuple(values.tolist()), m)
+    return FeatureVector._adopt(tuple(values.tolist()))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _FrozenValue
+from . import _FrozenValue, _float, _floats
 
 __all__ = [
     "FORMAT_VERSION",
@@ -66,33 +66,6 @@ class ConvergenceError(RuntimeError):
 
 class ModelFormatError(ValueError):
     """A serialized model violates the file schema or a stored invariant."""
-
-
-_TEXT = (str, bytes, bytearray)  # float() parses these; no number is text
-
-
-def _float(value) -> float:
-    """float(value) of a number; an integer past the float range becomes
-    +-inf, which every model type refuses, instead of raising OverflowError.
-    Text raises TypeError, as the comparisons with a bare value did."""
-    if isinstance(value, _TEXT):
-        raise TypeError(f"expected a number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _floats(values) -> tuple[float, ...]:
-    """_float() of each value of a sequence, with its types checked once per
-    distinct type, not once per value; a text row raises TypeError too."""
-    kinds = set(map(type, values))
-    if isinstance(values, _TEXT) or any(issubclass(k, _TEXT) for k in kinds):
-        raise TypeError("expected numbers, got text")
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        return tuple(map(_float, values))
 
 
 def _labels(values) -> tuple[int, ...]:
@@ -152,10 +125,8 @@ class TrainingSet(_FrozenValue):
             raise ValueError("training set is empty")
         if not all(map(math.isfinite, itertools.chain.from_iterable(self.x))):
             raise ValueError("non-finite feature value")
-        dim = len(self.x[0])
-        for row in self.x:
-            if len(row) != dim:
-                raise ValueError("feature rows have differing dimensionality")
+        if len(set(map(len, self.x))) > 1:
+            raise ValueError("feature rows have differing dimensionality")
         if len(set(self.y)) < 2:
             raise DegenerateTrainingError(
                 "degenerate training set: only one class present"
@@ -177,16 +148,17 @@ class SvmModel(_FrozenValue):
 
     def __init__(
         self, support_x: tuple[tuple[float, ...], ...], support_y: tuple[int, ...],
-        alpha: tuple[float, ...], bias: float, gamma: float, dim: int,
+        alpha: tuple[float, ...], bias: float, gamma: float,
         pos_class: str, neg_class: str, c: float,
     ):
         self.__dict__.update(
             support_x=tuple(map(_floats, support_x)), support_y=_labels(support_y),
-            alpha=_floats(alpha), bias=_float(bias), gamma=gamma, dim=dim,
+            alpha=_floats(alpha), bias=_float(bias), gamma=gamma,
             pos_class=pos_class, neg_class=neg_class, c=c,
         )
         if not (len(self.support_x) == len(self.support_y) == len(self.alpha) >= 1):
             raise ValueError("support vectors, labels, and alphas must align")
+        self.__dict__["dim"] = len(self.support_x[0])  # every row's, checked below
         if self.dim < 1:
             raise ValueError("feature dimension must be positive")
         params = KernelParams(self.gamma, self.c)
@@ -306,7 +278,6 @@ def train_smo(
         alpha=tuple(alpha[i] for i in keep),
         bias=float(bias),
         gamma=params.gamma,
-        dim=data.dim,
         pos_class=pos_class,
         neg_class=neg_class,
         c=c,
@@ -612,19 +583,7 @@ def load_model(data: bytes) -> PairwiseModel:
                     _real(v, component)  # raises on the first that is not
             xs.append(x)
         try:
-            models.append(
-                SvmModel(
-                    support_x=xs,
-                    support_y=ys,
-                    alpha=alphas,
-                    bias=bias,
-                    gamma=gamma,
-                    dim=len(xs[0]) if xs else 0,
-                    pos_class=pos,
-                    neg_class=neg,
-                    c=c,
-                )
-            )
+            models.append(SvmModel(xs, ys, alphas, bias, gamma, pos, neg, c))
         except ValueError as exc:
             raise ModelFormatError(f"{where}: {exc}") from None
         balance = sum(a * label for a, label in zip(alphas, ys))

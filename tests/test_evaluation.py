@@ -21,7 +21,6 @@ def threshold_model(pos="good", neg="bad", cut=0.5):
         alpha=(1.0,),
         bias=-cut,
         gamma=1.0,
-        dim=1,
         pos_class=pos,
         neg_class=neg,
         c=10.0,
@@ -35,7 +34,6 @@ def constant_positive_model(pos="good", neg="bad"):
         alpha=(0.001,),
         bias=5.0,
         gamma=1.0,
-        dim=1,
         pos_class=pos,
         neg_class=neg,
         c=10.0,

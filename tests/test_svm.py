@@ -35,7 +35,6 @@ def stub_model(pos, neg, sign, dim=1, gamma=1.0, c=10.0):
         alpha=(1e-3,),
         bias=1.0 if sign >= 0 else -1.0,
         gamma=gamma,
-        dim=dim,
         pos_class=pos,
         neg_class=neg,
         c=c,
@@ -226,7 +225,6 @@ class TestDecision:
             alpha=(1.0,),
             bias=0.0,
             gamma=2.0,
-            dim=2,
             pos_class="a",
             neg_class="b",
             c=10.0,
@@ -261,7 +259,6 @@ class TestDecision:
             alpha=tuple(model.alpha[i] for i in order),
             bias=model.bias,
             gamma=model.gamma,
-            dim=model.dim,
             pos_class=model.pos_class,
             neg_class=model.neg_class,
             c=model.c,
@@ -295,7 +292,6 @@ class TestPairSide:
             alpha=(1.0,),
             bias=-1.0,
             gamma=1.0,
-            dim=1,
             pos_class="a",
             neg_class="b",
             c=10.0,
@@ -328,7 +324,6 @@ class TestSvmModelValidation:
                 alpha=(11.0,),
                 bias=0.0,
                 gamma=1.0,
-                dim=1,
                 pos_class="a",
                 neg_class="b",
                 c=10.0,
@@ -342,7 +337,6 @@ class TestSvmModelValidation:
                 alpha=(0.0,),
                 bias=0.0,
                 gamma=1.0,
-                dim=1,
                 pos_class="a",
                 neg_class="b",
                 c=10.0,
@@ -377,7 +371,7 @@ class TestSvmModelValidation:
     def test_built_directly_rejects(self, fields, message):
         args = dict(
             support_x=((0.0, 1.0), (1.0, 0.0)), support_y=(1, -1), alpha=(1.0, 1.0),
-            bias=0.0, gamma=1.0, dim=2, pos_class="a", neg_class="b", c=10.0,
+            bias=0.0, gamma=1.0, pos_class="a", neg_class="b", c=10.0,
         )
         SvmModel(**args)
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -578,7 +572,7 @@ class TestTrainPairwise:
         # exactly 0.0 at the origin: K = 1 there, and 1e-3 * 1 - 1e-3 == 0
         zero_at_origin = SvmModel(
             support_x=((0.0, 0.0),), support_y=(1,), alpha=(1e-3,), bias=-1e-3,
-            gamma=0.7, dim=2, pos_class="d", neg_class="a", c=10.0,
+            gamma=0.7, pos_class="d", neg_class="a", c=10.0,
         )
         assert decision(zero_at_origin, (0.0, 0.0)) == 0.0
         one_sv = stub_model("b", "c", -1, dim=2, gamma=0.7)
@@ -806,7 +800,6 @@ def test_one_row_decision_equals_batch_on_edge_shapes(support, dim):
         alpha=rng.uniform(0.01, 1.0, size=support).tolist(),
         bias=float(rng.normal()),
         gamma=float(rng.uniform(0.05, 2.0)),
-        dim=dim,
         pos_class="p",
         neg_class="q",
         c=1.0,
@@ -835,7 +828,6 @@ def test_kernel_row_of_every_machine_equals_decision(seed, counts, dim):
             alpha=rng.uniform(0.01, 1.0, size=count).tolist(),
             bias=float(rng.normal()),
             gamma=0.05,
-            dim=dim,
             pos_class=classes[2 * i],
             neg_class=classes[2 * i + 1],
             c=1.0,
@@ -863,7 +855,6 @@ def test_batch_decision_equals_row_by_row(seed, rows, support, dim):
         alpha=rng.uniform(0.01, 1.0, size=support).tolist(),
         bias=float(rng.normal()),
         gamma=float(rng.uniform(0.05, 2.0)),
-        dim=dim,
         pos_class="p",
         neg_class="q",
         c=1.0,

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from glyphspect.dataset import GlyphSample, SynthParams
 from glyphspect.evaluation import ConfusionCounts, PairMetrics
-from glyphspect.features import FeatureVector, ProjectionPair, Spectrum
+from glyphspect.features import (
+    FeatureVector,
+    ProjectionPair,
+    Spectrum,
+    extract_features,
+    project,
+)
 from glyphspect.imaging import BinaryImage, GrayImage
 from glyphspect.svm import (
     KernelParams,
@@ -27,10 +33,13 @@ from glyphspect.svm import (
 VALID = {
     GrayImage: (2, 1, [0, 255]),
     BinaryImage: (1, 2, [[1], [0]]),
+    ProjectionPair: ([1, 0], [0, 1]),
+    Spectrum: ([1 + 0j, 0.5j],),
+    FeatureVector: ((0.5, 1.0),),
     TrainingSet: ([[0.0, 1.0], [1.0, 0.5]], [1, -1]),
     KernelParams: (0.5, 10.0),
     ModelMeta: (4, 2, 0, True),
-    SvmModel: ([[0.0, 1.0], [1.0, 0.0]], [1, -1], [0.5, 0.5], 0.0, 1.0, 2, "a", "b", 10.0),
+    SvmModel: ([[0.0, 1.0], [1.0, 0.0]], [1, -1], [0.5, 0.5], 0.0, 1.0, "a", "b", 10.0),
     PairRegistry: ([("a", "b"), ("c", "d")],),
 }
 # integers past the float range, non-finite floats, bools, and ordinary
@@ -86,17 +95,18 @@ def test_constructors_raise_only_their_named_errors(cls, data):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: SvmModel(((10**400,),), (1,), (1.0,), 0.0, 1.0, 1, "a", "b", 10.0),
-        lambda: SvmModel(((0.0,),), (1,), (10**400,), 0.0, 1.0, 1, "a", "b", 10.0),
-        lambda: SvmModel(((0.0,),), (1,), (1.0,), -(10**400), 1.0, 1, "a", "b", 10.0),
+        lambda: SvmModel(((10**400,),), (1,), (1.0,), 0.0, 1.0, "a", "b", 10.0),
+        lambda: SvmModel(((0.0,),), (1,), (10**400,), 0.0, 1.0, "a", "b", 10.0),
+        lambda: SvmModel(((0.0,),), (1,), (1.0,), -(10**400), 1.0, "a", "b", 10.0),
         lambda: TrainingSet(((10**400,), (0,)), (1, -1)),
         lambda: rbf_kernel((0.0,), (1.0,), 10**400),
         lambda: rbf_kernel((10**400,), (0.0,), 1.0),
         lambda: rbf_kernel((0.0, 1.0), (0.0, -(10**400)), 1.0),
         lambda: KernelParams(10**400, 1.0),
+        lambda: FeatureVector((10**400, 1.0)),
     ],
     ids=["support", "alpha", "bias", "training-row", "rbf-gamma", "rbf-x", "rbf-y",
-         "kernel-gamma"],
+         "kernel-gamma", "feature"],
 )
 def test_an_integer_past_the_float_range_is_a_value_error(make):
     with pytest.raises(ValueError, match="finite|box constraint"):
@@ -118,10 +128,16 @@ def test_rbf_kernel_refuses_a_non_finite_component(bad):
         lambda text: TrainingSet((text, (0.0,)), (1, -1)),  # map(float, b"1") is (49.0,)
         lambda text: rbf_kernel((text,), (0.0,), 1.0),
         lambda text: rbf_kernel((0.0,), (text,), 1.0),
-        lambda text: SvmModel(((text,),), (1,), (0.5,), 0.0, 1.0, 1, "a", "b", 10.0),
-        lambda text: SvmModel(((0.25,),), (1,), (text,), 0.0, 1.0, 1, "a", "b", 10.0),
+        lambda text: SvmModel(((text,),), (1,), (0.5,), 0.0, 1.0, "a", "b", 10.0),
+        lambda text: SvmModel(((0.25,),), (1,), (text,), 0.0, 1.0, "a", "b", 10.0),
+        lambda text: ProjectionPair((text, 0), (0, 1)),
+        lambda text: ProjectionPair(text, (1,)),
+        lambda text: Spectrum((1.0, text)),
+        lambda text: FeatureVector((0.5, text)),
+        lambda text: FeatureVector(text),
     ],
-    ids=["training-row", "training-last", "text-row", "rbf-x", "rbf-y", "support", "alpha"],
+    ids=["training-row", "training-last", "text-row", "rbf-x", "rbf-y", "support", "alpha",
+         "projection", "projection-whole", "spectrum", "feature", "feature-whole"],
 )
 @pytest.mark.parametrize(
     "text", ["1", "0.5", b"1", bytearray(b"1"), np.str_("1"), np.bytes_(b"1")],
@@ -130,6 +146,42 @@ def test_rbf_kernel_refuses_a_non_finite_component(bad):
 def test_numeric_text_is_a_type_error(make, text):
     with pytest.raises(TypeError, match="text"):
         make(text)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: FeatureVector((math.nan, 1.0)), ValueError, "finite"),
+        (lambda: FeatureVector((math.inf, 1.0)), ValueError, "finite"),
+        (lambda: FeatureVector((1.0,)), ValueError, "m >= 1, got 1"),
+        (lambda: ProjectionPair([1.5], [1.5]), TypeError, "got float64"),
+        (lambda: ProjectionPair([math.nan], [math.nan]), TypeError, "got float64"),
+        (lambda: ProjectionPair([math.inf], [math.inf]), TypeError, "got float64"),
+        (lambda: ProjectionPair([10**400], [10**400]), TypeError, "got object"),
+        (lambda: ProjectionPair([], []), ValueError, "non-empty"),
+        (lambda: ProjectionPair([[1]], [[1]]), ValueError, "1-D"),
+        (lambda: Spectrum([10**400]), TypeError, "got object"),
+        (lambda: Spectrum([None, 1.0]), TypeError, "got object"),
+    ],
+    ids=["feature-nan", "feature-inf", "feature-odd-count",
+         "counts-float", "counts-nan", "counts-inf", "counts-huge-int", "counts-empty",
+         "counts-2d", "spectrum-huge-int", "spectrum-none"],
+)
+def test_feature_types_refuse_what_their_docstrings_rule_out(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_sizes_are_derived_from_the_values():
+    assert SvmModel(**MACHINE).dim == len(MACHINE["support_x"][0])
+    img = BinaryImage(3, 3, [1, 0, 0, 1, 1, 0, 0, 0, 1])
+    pair = project(img)
+    assert len(pair.h) == len(pair.v) == img.width
+    fv = extract_features(img, 2)
+    assert FeatureVector(fv.values) == fv
+    # an iterator is read once, not once to check types and again to convert
+    assert FeatureVector(iter(fv.values)) == fv
+    assert TrainingSet([iter((0.0,)), iter((1.0,))], [1, -1]).x == ((0.0,), (1.0,))
 
 
 # integers, and values a model file cannot hold as one: floats, bools, text
@@ -154,7 +206,7 @@ def test_a_model_meta_that_constructs_saves_and_loads(n, m, seed, normalize):
     except (ValueError, TypeError):
         return
     dim = 2 * meta.m
-    machine = SvmModel([[0.0] * dim, [1.0] * dim], [1, -1], [0.5, 0.5], 0.0, 1.0, dim,
+    machine = SvmModel([[0.0] * dim, [1.0] * dim], [1, -1], [0.5, 0.5], 0.0, 1.0,
                        "a", "b", 10.0)
     loaded = load_model(save_model(PairwiseModel((machine,), ("a", "b"), meta)))
     assert loaded.meta == meta
@@ -165,15 +217,15 @@ def test_a_model_meta_that_constructs_saves_and_loads(n, m, seed, normalize):
 
 MACHINE = dict(
     support_x=((0.0, 1.0), (1.0, 0.0)), support_y=(1, -1), alpha=(0.5, 0.5),
-    bias=0.0, gamma=1.0, dim=2, pos_class="a", neg_class="b", c=10.0,
+    bias=0.0, gamma=1.0, pos_class="a", neg_class="b", c=10.0,
 )
 # every value type, with one instance's arguments by keyword, in field order
 FIELDS = {
     GrayImage: dict(width=2, height=1, pixels=[0, 255]),
     BinaryImage: dict(width=1, height=2, pixels=[[1], [0]]),
-    ProjectionPair: dict(h=[1, 0], v=[0, 1], n=2),
+    ProjectionPair: dict(h=[1, 0], v=[0, 1]),
     Spectrum: dict(coeffs=[1 + 0j, 0.5j]),
-    FeatureVector: dict(values=(0.5, 1.0), m=1),
+    FeatureVector: dict(values=(0.5, 1.0)),
     KernelParams: dict(gamma=0.5, c=10.0),
     TrainingSet: dict(x=((0.0, 1.0), (1.0, 0.5)), y=(1, -1)),
     SvmModel: MACHINE,
