@@ -11,6 +11,7 @@ so a process that runs `predict` never loads `dataset` or `evaluation`.
 It also holds `_FrozenValue`, every value type's base, and their number rules.
 """
 import math
+import operator
 
 _MODULES = ("imaging", "features", "svm", "dataset", "evaluation")
 _SUBMODULES = (*_MODULES, "cli")  # `cli` is a submodule, not re-exported
@@ -62,6 +63,13 @@ def _float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _int(value, name: str) -> int:
+    """operator.index(value); a bool or a non-integer (2.0 too) is a TypeError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer")
+    return operator.index(value)
 
 
 def _floats(values) -> tuple[float, ...]:

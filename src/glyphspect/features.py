@@ -7,9 +7,9 @@ vector. Magnitudes make the features invariant to cyclic shifts of the
 projection signals, so small in-frame translations of a glyph barely move
 its feature vector.
 
-`feature_rows` computes the vectors of an (N, n, n) stack of glyphs in
-whole-array steps; `extract_features` runs the same helpers on one glyph.
-The DFT is each signal's own product with a cached matrix of cos and -sin
+`feature_rows` computes the vectors of an (n, n) glyph mask or an (N, n, n)
+stack in whole-array steps; `extract_features` is its one-glyph case. The
+DFT is each signal's own product with a cached matrix of cos and -sin
 values, so a stack, one glyph and `dft` of one signal agree bit for bit.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _FrozenValue, _floats, _numbers
+from . import _FrozenValue, _floats, _int, _numbers
 from .imaging import BinaryImage
 
 __all__ = [
@@ -142,11 +142,12 @@ def dft(signal: Sequence[float]) -> Spectrum:
     product with a cached N-by-2N matrix of cos and -sin values: O(N^2) time
     and 16*N^2 bytes per distinct N, with the matrices of the last 8 lengths
     kept (an lru_cache). For glyph projections (N of a few dozen) that costs
-    less than an FFT call, and agrees with one to rounding.
+    less than an FFT call, and agrees with one to rounding. An empty or
+    non-1-D signal raises ValueError; text, None, complex or huge ints TypeError.
     """
     if len(signal) == 0:
         raise ValueError("empty signal")
-    return Spectrum(_dft(np.array(signal, dtype=np.float64)).view(np.complex128))
+    return Spectrum(_dft(_frozen(signal, np.float64)).view(np.complex128))
 
 
 def _magnitudes(pairs: np.ndarray) -> np.ndarray:
@@ -156,17 +157,23 @@ def _magnitudes(pairs: np.ndarray) -> np.ndarray:
 
 
 def truncate_spectrum(spec: Spectrum, m: int) -> tuple[float, ...]:
-    """Keep the magnitudes of the lowest m coefficients."""
+    """Keep the magnitudes of the lowest m coefficients. An m outside
+    [1, len(spec)] raises ValueError, a non-integer (True, 2.0) TypeError."""
+    m = _int(m, "m")
     if not 1 <= m <= len(spec):
         raise ValueError(f"m must satisfy 1 <= m <= {len(spec)}, got {m}")
     return tuple(_magnitudes(spec.coeffs[:m].view(np.float64)).tolist())
 
 
-def _spectra(masks: np.ndarray, m: int) -> np.ndarray:
-    """The lowest m DFT magnitudes of row sums, then of column sums: (..., 2m)."""
+def feature_rows(masks: np.ndarray, m: int, normalize: bool = False) -> np.ndarray:
+    """The (..., 2m) rows of an (..., n, n) array of binary glyph masks: the
+    lowest m DFT magnitudes of the row sums, then of the column sums, each
+    row divided by its L2 norm if `normalize`. A non-square mask or an m
+    outside [1, n] raises ValueError, a non-integer m TypeError."""
     *lead, height, n = masks.shape
     if height != n:
         raise ValueError(f"projection requires a square image, got {n}x{height}")
+    m = _int(m, "m")
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= {n}, got {m}")
     # exact 0/1 sums; bool sums cast inside the reduction at twice the cost
@@ -174,33 +181,19 @@ def _spectra(masks: np.ndarray, m: int) -> np.ndarray:
     signals = np.empty((*lead, 2, n))
     np.matmul(ink, ones, out=signals[..., 0, :])
     np.matmul(ones, ink, out=signals[..., 1, :])
-    return _magnitudes(_dft(signals)[..., : 2 * m]).reshape(*lead, 2 * m)
-
-
-def _l2_norm(squares: list[float]) -> float:
-    # builtin sum() rounds unlike numpy's sums; 1 keeps an inkless glyph's zeros
-    return math.sqrt(sum(squares)) or 1.0
-
-
-def feature_rows(masks: np.ndarray, m: int, normalize: bool = False) -> np.ndarray:
-    """The (N, 2m) feature rows of an (N, n, n) stack of binary glyphs (m <= n):
-    row i is extract_features of glyph i."""
-    rows = _spectra(masks, m)
-    if normalize:
-        rows /= [[_l2_norm(sq)] for sq in np.square(rows).tolist()]
+    rows = _magnitudes(_dft(signals)[..., : 2 * m]).reshape(*lead, 2 * m)
+    if normalize and rows.size:  # an empty stack has no row to divide
+        flat = rows.reshape(-1, 2 * m)  # a view: dividing it divides rows
+        # builtin sum() rounds unlike numpy's sums; 1 keeps an inkless glyph's zeros
+        flat /= [[math.sqrt(sum(sq)) or 1.0] for sq in np.square(flat).tolist()]
     return rows
 
 
-def extract_features(
-    img: BinaryImage, m: int, normalize: bool = False
-) -> FeatureVector:
-    """Build the 2m-value feature vector of an n-by-n glyph (m <= n).
+def extract_features(img: BinaryImage, m: int, normalize: bool = False) -> FeatureVector:
+    """feature_rows of one n-by-n glyph, as a FeatureVector (m <= n).
 
     Equals truncate_spectrum(dft(h), m) + truncate_spectrum(dft(v), m).
     Optionally L2-normalizes the final vector; off by default since the
     fixed square resize already standardizes scale.
     """
-    values = _spectra(img.pixels, m)
-    if normalize:
-        values /= _l2_norm(np.square(values).tolist())
-    return FeatureVector._adopt(tuple(values.tolist()))
+    return FeatureVector._adopt(tuple(feature_rows(img.pixels, m, normalize).tolist()))

@@ -18,12 +18,11 @@ import functools
 import itertools
 import json
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
 
-from . import _FrozenValue, _float, _floats
+from . import _FrozenValue, _float, _floats, _int
 
 __all__ = [
     "FORMAT_VERSION",
@@ -131,10 +130,6 @@ class TrainingSet(_FrozenValue):
             raise DegenerateTrainingError(
                 "degenerate training set: only one class present"
             )
-
-    @property
-    def dim(self) -> int:
-        return len(self.x[0])
 
 
 class SvmModel(_FrozenValue):
@@ -334,9 +329,7 @@ class ModelMeta(_FrozenValue):
     def __init__(self, n: int, m: int, seed: int, normalize: bool = False):
         # the JSON types load_model requires: a numpy integer becomes an int
         for name, value in (("n", n), ("m", m), ("seed", seed)):
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise TypeError(f"{name} must be an integer")
-            value = operator.index(value)
+            value = _int(value, name)
             try:
                 str(value)  # save_model's json renders it the same way
             except ValueError:
@@ -382,17 +375,12 @@ class PairRegistry(_FrozenValue):
 
 class PairwiseModel(_FrozenValue):
     """One binary machine per confusable class pair, voting for prediction.
-    Its pairs obey PairRegistry's rules and `classes` lists exactly their
-    classes."""
+    Its pairs obey PairRegistry's rules; `classes` is every class of a pair,
+    in order of first appearance among the machines."""
 
-    def __init__(
-        self, models: tuple[SvmModel, ...], classes: tuple[str, ...],
-        meta: ModelMeta | None = None,
-    ):
-        self.__dict__.update(models=tuple(models), classes=tuple(classes), meta=meta)
+    def __init__(self, models: tuple[SvmModel, ...], meta: ModelMeta | None = None):
+        self.__dict__.update(models=tuple(models), meta=meta)
         registry = PairRegistry((m.pos_class, m.neg_class) for m in self.models)
-        if sorted(self.classes) != sorted(registry.classes):
-            raise ValueError("classes must list each class of the pairs once")
         first = self.models[0]
         if self.meta is not None and 2 * self.meta.m != first.dim:
             raise ValueError(
@@ -404,10 +392,10 @@ class PairwiseModel(_FrozenValue):
                 raise ValueError("pair machines disagree on feature dimension")
             if mdl.gamma != first.gamma or mdl.c != first.c:
                 raise ValueError("pair machines disagree on kernel parameters")
-        # every machine's support vectors stacked, and each machine's row span
+        # derived: the classes, all support vectors stacked, each machine's row span
         ends = list(itertools.accumulate(len(mdl.alpha) for mdl in self.models))
         self.__dict__.update(
-            _sv=np.vstack([mdl._sv for mdl in self.models]),
+            classes=registry.classes, _sv=np.vstack([mdl._sv for mdl in self.models]),
             _spans=tuple(zip([0] + ends, ends)),
         )
 
@@ -449,13 +437,13 @@ def train_pairwise(
                 for row, label in zip(features, labels) if label in (pos, neg)]
         data = TrainingSet(*zip(*rows))
         models.append(train_smo(data, params, seed, pos_class=pos, neg_class=neg))
-    return PairwiseModel(tuple(models), registry.classes, meta)
+    return PairwiseModel(tuple(models), meta)
 
 
 def vote(pm: PairwiseModel, values: Sequence[float]) -> tuple[str, dict[str, int]]:
     """Majority vote given each pair machine's decision value, in model order:
     a value >= 0 (exactly zero included) votes for the machine's positive
-    class; ties go to the earliest class."""
+    class; ties go to the class that appears first among the machines."""
     votes = {cls: 0 for cls in pm.classes}
     for mdl, value in zip(pm.models, values, strict=True):
         votes[mdl.pos_class if value >= 0.0 else mdl.neg_class] += 1
@@ -542,10 +530,10 @@ def load_model(data: bytes) -> PairwiseModel:
 
     The loader checks what only a file can get wrong: JSON syntax, field
     presence, exact JSON types (so `true` is not read as 1), the format
-    version, and each pair's dual equality constraint (which hand-built stub
-    models may break). Every other invariant, finite reals included, is
-    checked by the ModelMeta, SvmModel and PairwiseModel constructors; their
-    errors are raised as ModelFormatError.
+    version, each pair's dual equality constraint (which hand-built stub
+    models may break) and `classes`, the pairs' own in order. Every other
+    invariant, finite reals included, is checked by the ModelMeta, SvmModel
+    and PairwiseModel constructors; their errors are raised as ModelFormatError.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -561,9 +549,6 @@ def load_model(data: bytes) -> PairwiseModel:
     c = _field(doc, "c", float, "model")
     seed = _field(doc, "seed", int, "model")
     normalize = _field(doc, "normalize", bool, "model")
-    classes = _field(doc, "classes", list, "model")
-    if not all(type(cls) is str for cls in classes):
-        raise ModelFormatError("model: classes must be a list of names")
 
     models = []
     for entry in _field(doc, "pairs", list, "model"):
@@ -594,6 +579,9 @@ def load_model(data: bytes) -> PairwiseModel:
 
     try:
         meta = ModelMeta(n=n, m=m, seed=seed, normalize=normalize)
-        return PairwiseModel(tuple(models), tuple(classes), meta)
+        pm = PairwiseModel(tuple(models), meta)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+    if _field(doc, "classes", list, "model") != list(pm.classes):
+        raise ModelFormatError("model: classes must be the pairs' classes in order")
+    return pm

@@ -300,6 +300,26 @@ class TestExtractFeatures:
         for mask, row in zip(masks, rows.tolist()):
             want = extract_features(BinaryImage(96, 96, mask), 48, normalize).values
             assert [v.hex() for v in row] == [v.hex() for v in want]
+        # any leading axes: a (3, 4) grid of the same glyphs, the same bits
+        grid = feature_rows(masks.reshape(3, 4, 96, 96), 48, normalize)
+        assert grid.tobytes() == rows.tobytes() and grid.shape == (3, 4, 96)
+        assert feature_rows(masks[:0], 48, normalize).shape == (0, 96)
+
+
+@pytest.mark.parametrize("m", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: truncate_spectrum(dft([1, 2, 3]), m),
+        lambda m: feature_rows(np.ones((3, 3), bool), m),
+        lambda m: extract_features(BinaryImage(2, 2, (1, 0, 1, 1)), m),
+    ],
+    ids=["truncate_spectrum", "feature_rows", "extract_features"],
+)
+def test_m_must_be_an_integer(call, m):
+    """ModelMeta's rule for a count: 1 is not True, and 2.0 is not 2."""
+    with pytest.raises(TypeError, match="^m must be an integer$"):
+        call(m)
 
 
 class TestFeatureVectorInvariants:

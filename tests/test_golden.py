@@ -5,8 +5,9 @@ test_dataset.py pins the corpus bytes by sha256. This module pins what the
 pipeline computes from them; golden_synth_seed42.json was recorded once, so
 a failure here means the numbers moved, not that the file is stale:
 - each glyph's Otsu threshold, exactly;
-- each feature row, with and without L2 normalization, to 1e-12 (stored
-  as float.hex, so a mismatch shows the exact bits);
+- each feature row, with and without L2 normalization, to 1e-12, from the
+  stacked and the one-glyph call (stored as float.hex, so a mismatch shows
+  the exact bits);
 - the sign of every pair decision of a model trained on the train half.
 """
 import json
@@ -58,6 +59,10 @@ def test_feature_rows_agree_to_1e_12(corpus, normalize):
     golden, _, masks, _ = corpus
     rows = features.feature_rows(masks, 16, normalize)
     np.testing.assert_allclose(rows, _rows(golden, normalize), rtol=1e-12, atol=1e-12)
+    # predict's one-glyph call
+    one = [features.extract_features(imaging.BinaryImage(32, 32, mask), 16, normalize).values
+           for mask in masks]
+    np.testing.assert_allclose(one, _rows(golden, normalize), rtol=1e-12, atol=1e-12)
 
 
 def test_decision_signs_are_stable(corpus):

@@ -275,7 +275,7 @@ class TestPairSide:
 
     @staticmethod
     def side(model):
-        pm = PairwiseModel((model,), (model.pos_class, model.neg_class))
+        pm = PairwiseModel((model,))
         winner, _ = vote(pm, [decision(model, (0.0,))])
         return winner
 
@@ -389,30 +389,27 @@ class TestSvmModelValidation:
 class TestPairwiseModelValidation:
     def test_meta_m_must_match_feature_dimension(self):
         models = (stub_model("a", "b", +1, dim=2),)
-        assert PairwiseModel(models, ("a", "b"), ModelMeta(n=2, m=1, seed=0))
+        assert PairwiseModel(models, ModelMeta(n=2, m=1, seed=0))
         with pytest.raises(ValueError, match="dimension 2 differs from 2m = 4"):
-            PairwiseModel(models, ("a", "b"), ModelMeta(n=2, m=2, seed=0))
+            PairwiseModel(models, ModelMeta(n=2, m=2, seed=0))
 
     def test_empty_class_name_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            PairwiseModel((stub_model("", "b", +1),), ("", "b"))
+            PairwiseModel((stub_model("", "b", +1),))
 
     @pytest.mark.parametrize(
-        "pairs, classes",
-        [
-            ([], ("a", "b")),
-            ([("a", "b"), ("b", "a")], ("a", "b")),
-            ([("a", "b")], ("a", "b", "c")),
-            ([("a", "b"), ("c", "d")], ("a", "b", "c")),
-            ([("a", "b")], ("a", "b", "a")),
-        ],
-        ids=["no-machines", "duplicate-pair", "extra-class", "missing-class",
-             "duplicate-name"],
+        "pairs",
+        [[], [("a", "b"), ("b", "a")]],
+        ids=["no-machines", "duplicate-pair"],
     )
-    def test_pair_set_rules_are_enforced(self, pairs, classes):
+    def test_pair_set_rules_are_enforced(self, pairs):
         models = tuple(stub_model(pos, neg, +1) for pos, neg in pairs)
         with pytest.raises(ValueError):
-            PairwiseModel(models, classes)
+            PairwiseModel(models)
+
+    def test_classes_are_the_pairs_in_order_of_first_appearance(self):
+        models = (stub_model("b", "c", +1), stub_model("a", "b", +1))
+        assert PairwiseModel(models).classes == ("b", "c", "a")
 
     @pytest.mark.parametrize(
         "second, message",
@@ -426,7 +423,7 @@ class TestPairwiseModelValidation:
     def test_machines_must_share_dimension_and_kernel(self, second, message):
         models = (stub_model("a", "b", +1), stub_model("c", "d", +1, **second))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            PairwiseModel(models, ("a", "b", "c", "d"))
+            PairwiseModel(models)
 
 
 def four_class_samples(rng, per_class=4):
@@ -563,7 +560,7 @@ class TestTrainPairwise:
             )
 
     def test_multiclass_dimension_mismatch(self):
-        pm = PairwiseModel((stub_model("a", "b", +1, dim=2),), ("a", "b"))
+        pm = PairwiseModel((stub_model("a", "b", +1, dim=2),))
         with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 1"):
             predict_multiclass(pm, (0.0,))
 
@@ -576,7 +573,7 @@ class TestTrainPairwise:
         )
         assert decision(zero_at_origin, (0.0, 0.0)) == 0.0
         one_sv = stub_model("b", "c", -1, dim=2, gamma=0.7)
-        pm = PairwiseModel(trained.models + (one_sv, zero_at_origin), trained.classes)
+        pm = PairwiseModel(trained.models + (one_sv, zero_at_origin))
         counts = [len(mdl.alpha) for mdl in pm.models]
         assert 1 in counts and len(set(counts)) > 1  # spans of differing lengths
         for probe in ((0.0, 0.0), (4.0, 4.0), (1.5, 3.0), (-0.2, 0.1)):
@@ -586,10 +583,10 @@ class TestTrainPairwise:
             assert [v.hex() for v in block] == [v.hex() for v in values]
             assert vote(pm, values) == predict_multiclass(pm, probe)
         # the zero machine's vote goes to its positive class, d
-        assert vote(PairwiseModel((zero_at_origin,), ("d", "a")), [0.0]) == (
+        assert vote(PairwiseModel((zero_at_origin,)), [0.0]) == (
             "d", {"d": 1, "a": 0}
         )
-        less = PairwiseModel(pm.models[:-1], pm.classes)
+        less = PairwiseModel(pm.models[:-1])
         _, without = predict_multiclass(less, (0.0, 0.0))
         _, votes = predict_multiclass(pm, (0.0, 0.0))
         assert votes == {**without, "d": without["d"] + 1}
@@ -605,7 +602,7 @@ class TestTrainPairwise:
             stub_model("b", "c", +1),
             stub_model("c", "a", +1),
         )
-        pm = PairwiseModel(models, ("a", "b", "c"))
+        pm = PairwiseModel(models)
         winner, votes = predict_multiclass(pm, (0.0,))
         assert votes == {"a": 1, "b": 1, "c": 1}
         assert winner == "a"
@@ -645,7 +642,7 @@ class TestSerialization:
 
     def test_meta_required_to_save(self):
         pm = trained_pairwise()
-        bare = PairwiseModel(pm.models, pm.classes, None)
+        bare = PairwiseModel(pm.models, None)
         with pytest.raises(ValueError, match="metadata"):
             save_model(bare)
 
@@ -719,7 +716,12 @@ class TestSerialization:
 
     def test_non_string_class_name_rejected(self):
         data = self._mutate(lambda d: d["classes"].__setitem__(0, 1))
-        with pytest.raises(ModelFormatError, match="classes must be a list of names"):
+        with pytest.raises(ModelFormatError, match="classes must be the pairs' classes"):
+            load_model(data)
+
+    def test_permuted_classes_rejected(self):
+        data = self._mutate(lambda d: d["classes"].reverse())
+        with pytest.raises(ModelFormatError, match="classes must be the pairs' classes"):
             load_model(data)
 
     def test_meta_dimension_mismatch_rejected(self):
@@ -834,7 +836,7 @@ def test_kernel_row_of_every_machine_equals_decision(seed, counts, dim):
         )
         for i, count in enumerate(counts)
     )
-    pm = PairwiseModel(models, tuple(classes))
+    pm = PairwiseModel(models)
     for x in rng.normal(size=(5, dim)).tolist():
         values = [decision(mdl, x) for mdl in pm.models]
         assert [v.hex() for v in svm._decision_values(pm, x)] == [v.hex() for v in values]

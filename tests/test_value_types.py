@@ -13,6 +13,7 @@ from glyphspect.features import (
     FeatureVector,
     ProjectionPair,
     Spectrum,
+    dft,
     extract_features,
     project,
 )
@@ -135,9 +136,12 @@ def test_rbf_kernel_refuses_a_non_finite_component(bad):
         lambda text: Spectrum((1.0, text)),
         lambda text: FeatureVector((0.5, text)),
         lambda text: FeatureVector(text),
+        lambda text: dft((1.0, text)),
+        lambda text: dft(text),
     ],
     ids=["training-row", "training-last", "text-row", "rbf-x", "rbf-y", "support", "alpha",
-         "projection", "projection-whole", "spectrum", "feature", "feature-whole"],
+         "projection", "projection-whole", "spectrum", "feature", "feature-whole",
+         "dft", "dft-whole"],
 )
 @pytest.mark.parametrize(
     "text", ["1", "0.5", b"1", bytearray(b"1"), np.str_("1"), np.bytes_(b"1")],
@@ -162,10 +166,14 @@ def test_numeric_text_is_a_type_error(make, text):
         (lambda: ProjectionPair([[1]], [[1]]), ValueError, "1-D"),
         (lambda: Spectrum([10**400]), TypeError, "got object"),
         (lambda: Spectrum([None, 1.0]), TypeError, "got object"),
+        (lambda: dft([10**400]), TypeError, "got object"),
+        (lambda: dft([1j, 1.0]), TypeError, "got complex128"),
+        (lambda: dft([None, 1.0]), TypeError, "got object"),
     ],
     ids=["feature-nan", "feature-inf", "feature-odd-count",
          "counts-float", "counts-nan", "counts-inf", "counts-huge-int", "counts-empty",
-         "counts-2d", "spectrum-huge-int", "spectrum-none"],
+         "counts-2d", "spectrum-huge-int", "spectrum-none", "dft-huge-int", "dft-complex",
+         "dft-none"]
 )
 def test_feature_types_refuse_what_their_docstrings_rule_out(make, error, message):
     with pytest.raises(error, match=message):
@@ -208,7 +216,7 @@ def test_a_model_meta_that_constructs_saves_and_loads(n, m, seed, normalize):
     dim = 2 * meta.m
     machine = SvmModel([[0.0] * dim, [1.0] * dim], [1, -1], [0.5, 0.5], 0.0, 1.0,
                        "a", "b", 10.0)
-    loaded = load_model(save_model(PairwiseModel((machine,), ("a", "b"), meta)))
+    loaded = load_model(save_model(PairwiseModel((machine,), meta)))
     assert loaded.meta == meta
     assert [type(v) for v in vars(loaded.meta).values()] == [int, int, int, bool]
 
@@ -231,7 +239,7 @@ FIELDS = {
     SvmModel: MACHINE,
     ModelMeta: dict(n=4, m=1, seed=0, normalize=True),
     PairRegistry: dict(pairs=(("a", "b"),)),
-    PairwiseModel: dict(models=(SvmModel(**MACHINE),), classes=("a", "b"), meta=None),
+    PairwiseModel: dict(models=(SvmModel(**MACHINE),), meta=None),
     GlyphSample: dict(image=GrayImage(1, 1, [0]), label="a", source_id="a.pgm"),
     SynthParams: dict(flips=0.0, max_shift=0, scale_jitter=0.0, count=1, seed=0),
     ConfusionCounts: dict(tp=1, fp=2, tn=3, fn=4),
@@ -274,7 +282,7 @@ def test_a_changed_field_makes_a_value_unequal():
 def test_constructor_signatures_keep_keywords_and_defaults():
     assert KernelParams(0.5) == KernelParams(gamma=0.5, c=10.0)
     assert ModelMeta(4, 1, 0).normalize is False
-    assert PairwiseModel((SvmModel(**MACHINE),), ("a", "b")).meta is None
+    assert PairwiseModel((SvmModel(**MACHINE),)).meta is None
     assert SynthParams() == SynthParams(0.0, 0, 0.0, 1, 0)
     with pytest.raises(TypeError, match="unexpected keyword argument '_sv'"):
         SvmModel(**MACHINE, _sv=None)
