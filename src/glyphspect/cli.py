@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import io
 import json
 import math
 import os
@@ -205,10 +206,8 @@ def cmd_synth(args) -> int:
                 templates[path.stem] = imaging.crop_to_bbox(binary)
             except (imaging.PgmParseError, imaging.EmptyGlyphError) as exc:
                 raise ValueError(f"{str(path)!r}: {exc}") from None
-        registry = None
     else:
         templates = dataset.builtin_templates()
-        registry = dataset.builtin_registry()
 
     try:
         params = dataset.SynthParams(
@@ -222,27 +221,27 @@ def cmd_synth(args) -> int:
         raise UsageError(str(exc)) from None
     samples = dataset.synth_generate(templates, params, meta.n)
     manifest = dataset.write_corpus(samples, out_dir)
-    if registry is not None:
-        dataset.write_registry(registry, out_dir / "registry.csv")
+    if args.templates is None:
+        dataset.write_registry(dataset.builtin_registry(), out_dir / "registry.csv")
     print(f"wrote {len(samples)} samples ({len(templates)} classes) to {out_dir}")
     print(f"manifest: {manifest}")
     return EXIT_OK
 
 
 def cmd_featurize(args) -> int:
+    import csv
     from . import dataset
     meta, _ = _resolve(args)
-    samples = dataset.load_manifest(args.manifest)
-    vectors, labels = _featurize_samples(samples, meta)
-    lines = [
-        label + "," + ",".join(format(v, ".17g") for v in vec)
+    vectors, labels = _featurize_samples(dataset.load_manifest(args.manifest), meta)
+    text = io.StringIO()  # csv quotes a label holding a comma, quote or newline
+    csv.writer(text, lineterminator="\n").writerows(
+        [label, *(format(v, ".17g") for v in vec)]
         for vec, label in zip(vectors.tolist(), labels)
-    ]
-    text = "\n".join(lines) + "\n"
+    )
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text.getvalue(), encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text.getvalue())
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 import argparse
 import atexit
 import contextlib
+import csv
 import gc
 import importlib.metadata
 import io
@@ -217,6 +218,25 @@ class TestFeaturize:
         ) == 0
         lines = dest.read_text().strip().splitlines()
         assert all(len(line.split(",")) == 9 for line in lines)
+
+    def test_every_label_reads_back_with_its_features(self, tmp_path, capsys):
+        out = synth_corpus(tmp_path, count=2)
+        glyph = (out / "manifest.csv").read_text().splitlines()[1].split(",")[0]
+        labels = ["plain", "a,b", '"q"', "x\ny"]
+        manifest = out / "labels.csv"
+        with manifest.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["path", "label"], *([glyph, x] for x in labels)])
+        capsys.readouterr()
+        assert run(["featurize", "--manifest", str(manifest), "--m", "4"]) == 0
+        text = capsys.readouterr().out
+        meta = svm.ModelMeta(n=32, m=4, seed=42, normalize=False)
+        vectors, _ = cli._featurize_samples(dataset.load_manifest(manifest), meta)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [row[0] for row in rows] == labels
+        assert [[float(v) for v in row[1:]] for row in rows] == vectors.tolist()
+        # a label that needs no quoting keeps the unquoted line
+        plain = "plain," + ",".join(format(v, ".17g") for v in vectors[0].tolist())
+        assert text.startswith(plain + "\n")
 
     @pytest.mark.parametrize("first", ["blank-small.pgm", "blank-big.pgm"])
     def test_blank_glyphs_name_the_first_in_manifest_order(
@@ -856,23 +876,25 @@ class TestConfigFile:
 
         def train_and_evaluate(tag):
             """Model bytes, stdout and CSV of train then evaluate, each given
-            every path it reads by flags or, for tag "config", a config file."""
+            every path it reads by flags or, for tag "config", by one config
+            file the two share, each ignoring the keys it does not read."""
             run_dir = tmp_path / tag
             run_dir.mkdir()
-            model = str(run_dir / "model.json")
-            for command, paths, extra in (
-                ("train", {"manifest": manifest, "registry": str(out / "registry.csv"),
-                           "model": model}, ["--gamma", "2", "--normalize-l2"]),
-                ("evaluate", {"model": model, "manifest": manifest,
-                              "csv": str(run_dir / "report.csv")}, []),
+            paths = {"manifest": manifest, "registry": str(out / "registry.csv"),
+                     "model": str(run_dir / "model.json"),
+                     "csv": str(run_dir / "report.csv")}
+            cfg = run_dir / "shared.json"
+            cfg.write_text(json.dumps({**paths, "gamma": 2, "normalize_l2": True}))
+            for command, keys, extra in (
+                ("train", ("manifest", "registry", "model"),
+                 ["--gamma", "2", "--normalize-l2"]),
+                ("evaluate", ("model", "manifest", "csv"), []),
             ):
                 if tag == "config":
-                    cfg = run_dir / f"{command}.json"
-                    cfg.write_text(json.dumps(paths))
                     argv = ["--config", str(cfg)]
                 else:
-                    argv = [arg for key, path in paths.items() for arg in ("--" + key, path)]
-                assert run([command, *argv, *extra]) == 0
+                    argv = [arg for key in keys for arg in ("--" + key, paths[key])] + extra
+                assert run([command, *argv]) == 0
             stdout = capsys.readouterr().out.replace(str(run_dir), "DIR")
             return (
                 (run_dir / "model.json").read_bytes(), stdout,
@@ -1150,17 +1172,31 @@ def test_module_entry_on_a_full_stdout_exits_as_the_interpreter_does(predict_fil
 
 
 @pytest.mark.parametrize(
-    "case, code", [("predict", 0), ("no-model", 1), ("corrupt-pgm", 2)]
+    "case, code",
+    [("predict", 0), ("no-model", 1), ("corrupt-pgm", 2), ("synth-fails", 3)],
 )
-def test_module_entry_prints_and_exits_as_main(predict_files, capsys, case, code):
+def test_module_entry_prints_and_exits_as_main(
+    predict_files, tmp_path, capsys, case, code
+):
     model, glyph, corrupt = predict_files
+    # ink only in two opposite corners: the 1x1 resize keeps none, so every
+    # retry fails, and the SynthesisError that the lazily loaded dataset
+    # module defines must still exit 3
+    (tmp_path / "corner").mkdir()
+    (tmp_path / "corner" / "corner.pgm").write_bytes(
+        b"P2 3 3 255\n255 255 0\n255 255 255\n0 255 255\n"
+    )
     argv = {
         "predict": ["predict", "--model", str(model), str(glyph)],
         "no-model": ["predict", str(glyph)],
         "corrupt-pgm": ["predict", "--model", str(model), str(corrupt)],
+        "synth-fails": ["synth", "--out", str(tmp_path / "none"), "--templates",
+                        str(tmp_path / "corner"), "--n", "1", "--flips", "0",
+                        "--max-shift", "0"],
     }[case]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
+    assert err.count("\n") == (code != 0)  # an error is one stderr line
     done = subprocess.run(
         [sys.executable, "-m", "glyphspect.cli", *argv],
         capture_output=True, text=True,
