@@ -8,7 +8,8 @@ The root re-exports every module's public names; each module's `__all__`
 is the one list of them. Nothing is imported until used (PEP 562): reading
 a module, one of its names, or the root's `__all__` loads what it needs,
 so a process that runs `predict` never loads `dataset` or `evaluation`.
-It also holds `_FrozenValue`, every value type's base, and their number rules.
+It also holds `_FrozenValue`, every value type's base, their number rules,
+and `_csv_text`, the one CSV writer.
 """
 import math
 import operator
@@ -70,6 +71,18 @@ def _int(value, name: str) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer")
     return operator.index(value)
+
+
+def _csv_text(rows) -> str:
+    """Rows as CSV text with LF line ends; a cell holding a comma, a double
+    quote, an LF or a CR is quoted, so csv.reader reads each row back whole."""
+    import csv
+    from types import SimpleNamespace
+    lines = []  # the writer hands write() one whole row, terminator included
+    # a CRLF terminator makes it quote a cell holding either character
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def _floats(values) -> tuple[float, ...]:

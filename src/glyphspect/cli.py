@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import io
 import json
 import math
 import os
@@ -229,19 +228,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    import csv
-    from . import dataset
+    from . import _csv_text, dataset
     meta, _ = _resolve(args)
     vectors, labels = _featurize_samples(dataset.load_manifest(args.manifest), meta)
-    text = io.StringIO()  # csv quotes a label holding a comma, quote or newline
-    csv.writer(text, lineterminator="\n").writerows(
+    text = _csv_text(
         [label, *(format(v, ".17g") for v in vec)]
         for vec, label in zip(vectors.tolist(), labels)
     )
     if args.out:
-        Path(args.out).write_text(text.getvalue(), encoding="utf-8")
+        Path(args.out).write_bytes(text.encode("utf-8"))
     else:
-        sys.stdout.write(text.getvalue())
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -280,7 +277,7 @@ def cmd_evaluate(args) -> int:
         evaluation.report_table([(pair, metrics) for pair, _, metrics in scored])
     )
     if args.csv:
-        Path(args.csv).write_text(evaluation.report_csv(scored), encoding="utf-8")
+        Path(args.csv).write_bytes(evaluation.report_csv(scored).encode("utf-8"))
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ whole pipeline exercisable out of the box.
 from __future__ import annotations
 
 import csv
-import math
 import random
 import re
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _FrozenValue
+from . import _csv_text, _FrozenValue
 from .imaging import (
     BinaryImage,
     GrayImage,
@@ -118,14 +117,6 @@ def _read_csv(
     return rows[1:]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write `header` and then `rows` as UTF-8 CSV with LF line ends."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 class ManifestRow(NamedTuple):
     """One checked manifest row before its image is decoded."""
 
@@ -186,7 +177,8 @@ def load_registry(path) -> PairRegistry:
 
 
 def write_registry(registry: PairRegistry, path) -> None:
-    _write_csv(Path(path), ["correct_class", "error_class"], registry.pairs)
+    text = _csv_text([("correct_class", "error_class"), *registry.pairs])
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def split_even(
@@ -287,7 +279,7 @@ def write_corpus(samples: Sequence[GlyphSample], out_dir) -> Path:
     """Write samples as P2 PGM files plus a manifest.csv; returns its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows = [("path", "label")]
     for idx, sample in enumerate(samples):
         name = f"{_safe_name(sample.label)}_{idx:04d}.pgm"
         image = sample.image
@@ -296,7 +288,7 @@ def write_corpus(samples: Sequence[GlyphSample], out_dir) -> Path:
         (out_dir / name).write_bytes(write_pgm(image))
         rows.append((name, sample.label))
     manifest = out_dir / "manifest.csv"
-    _write_csv(manifest, ["path", "label"], rows)
+    manifest.write_bytes(_csv_text(rows).encode("utf-8"))
     return manifest
 
 
@@ -320,9 +312,7 @@ def builtin_templates() -> dict[str, BinaryImage]:
     r_in = r_out - max(2.5, 0.16 * size)
 
     rr, cc = np.indices((size, size))
-    dist = np.array(
-        [[math.hypot(r - center, c - center) for c in range(size)] for r in range(size)]
-    )
+    dist = np.hypot(rr - center, cc - center)
     ring = (r_in <= dist) & (dist <= r_out)
     in_gap = (cc > center + 0.15 * size) & (np.abs(rr - center) <= 0.18 * size)
     gap = ring & ~in_gap

@@ -8,12 +8,10 @@ absent rather than silently 0 or 100.
 """
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from typing import Sequence
 
-from . import _FrozenValue
+from . import _csv_text, _FrozenValue
 from .svm import SvmModel, decisions
 
 __all__ = [
@@ -142,11 +140,9 @@ def report_csv(
     rows: Sequence[tuple[tuple[str, str], ConfusionCounts, PairMetrics]]
 ) -> str:
     """Counts plus metrics per pair; absent metrics become empty cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADERS)
+    table = [CSV_HEADERS]
     for (correct, error), counts, pm in rows:
-        writer.writerow(
+        table.append(
             [
                 correct,
                 error,
@@ -159,4 +155,4 @@ def report_csv(
                 format_percent(pm.accuracy),
             ]
         )
-    return buf.getvalue()
+    return _csv_text(table)

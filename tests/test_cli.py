@@ -209,20 +209,22 @@ class TestFeaturize:
         assert len(first) == 1 + 32  # label + 2m values at defaults
         float(first[1])
 
-    def test_out_file_and_m_flag(self, tmp_path):
+    def test_out_file_and_m_flag(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         dest = tmp_path / "features.csv"
-        assert run(
-            ["featurize", "--manifest", str(out / "manifest.csv"), "--m", "4",
-             "--out", str(dest)]
-        ) == 0
+        argv = ["featurize", "--manifest", str(out / "manifest.csv"), "--m", "4"]
+        assert run([*argv, "--out", str(dest)]) == 0
         lines = dest.read_text().strip().splitlines()
         assert all(len(line.split(",")) == 9 for line in lines)
+        capsys.readouterr()
+        assert run(argv) == 0
+        # the file holds the bytes stdout gets: no line end is translated
+        assert dest.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
     def test_every_label_reads_back_with_its_features(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         glyph = (out / "manifest.csv").read_text().splitlines()[1].split(",")[0]
-        labels = ["plain", "a,b", '"q"', "x\ny"]
+        labels = ["plain", "a,b", '"q"', "x\ny", "a\rb"]
         manifest = out / "labels.csv"
         with manifest.open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([["path", "label"], *([glyph, x] for x in labels)])
@@ -540,6 +542,7 @@ class TestTrainEvaluatePredict:
         )
         rows = csv_path.read_text().splitlines()[1:]
         assert len(rows) == 2
+        scored = []
         for row, (pos, neg) in zip(rows, [("ring", "ring-gap"), ("ring", "cup")]):
             subset = [s for s in test if s.label in (pos, neg)]
             vectors = [
@@ -558,10 +561,9 @@ class TestTrainEvaluatePredict:
             ]
             counts = evaluation.evaluate_pair(mdl, vectors, [s.label for s in subset])
             assert sum(int(v) for v in row.split(",")[2:6]) == len(subset)
-            expected = evaluation.report_csv(
-                [((pos, neg), counts, evaluation.metrics(counts))]
-            )
-            assert row == expected.splitlines()[1]
+            scored.append(((pos, neg), counts, evaluation.metrics(counts)))
+        # the file holds report_csv's text byte for byte: no line end is translated
+        assert csv_path.read_bytes() == evaluation.report_csv(scored).encode("utf-8")
 
     def test_non_finite_kernel_value_is_usage_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)

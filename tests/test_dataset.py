@@ -158,9 +158,10 @@ class TestRegistry:
             load_registry(tmp_path / "r.csv")
 
     def test_write_read_round_trip(self, tmp_path):
-        reg = PairRegistry((("a", "b"), ("c", "d")))
-        write_registry(reg, tmp_path / "r.csv")
-        assert load_registry(tmp_path / "r.csv") == reg
+        for pairs in ((("a", "b"), ("c", "d")), (("a\rb", "c"), ("d", 'e,"f'))):
+            reg = PairRegistry(pairs)
+            write_registry(reg, tmp_path / "r.csv")
+            assert load_registry(tmp_path / "r.csv") == reg
 
 
 _HEADERS = {
@@ -423,6 +424,7 @@ class TestBuiltins:
 class TestWriteCorpus:
     def test_corpus_round_trips_through_manifest(self, tmp_path):
         templates = builtin_templates()
+        templates["cup\rbar"] = templates.pop("cup-bar")  # a lone CR is quoted
         params = SynthParams(flips=0.01, max_shift=1, count=2, seed=4)
         samples = synth_generate(templates, params, 16)
         manifest = write_corpus(samples, tmp_path)

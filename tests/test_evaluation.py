@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -176,14 +178,16 @@ class TestFormatting:
     def test_csv_counts_and_metrics_agree(self):
         counts = ConfusionCounts(tp=9, fp=0, tn=12, fn=3)
         pm = metrics(counts)
-        text = report_csv([(("a", "b"), counts, pm)])
-        header, row = text.splitlines()
-        assert header == "correct,error,tp,fp,tn,fn,sensitivity,specificity,accuracy"
-        cells = row.split(",")
-        assert cells[:6] == ["a", "b", "9", "0", "12", "3"]
-        tp, fp, tn, fn = (int(v) for v in cells[2:6])
-        again = metrics(ConfusionCounts(tp, fp, tn, fn))
-        assert cells[8] == format_percent(again.accuracy)
+        for pair in [("a", "b"), ("a\rb", "c,d")]:
+            text = report_csv([(pair, counts, pm)])
+            header, cells = csv.reader(io.StringIO(text, newline=""))
+            assert ",".join(header) == (
+                "correct,error,tp,fp,tn,fn,sensitivity,specificity,accuracy"
+            )
+            assert cells[:6] == [*pair, "9", "0", "12", "3"]
+            tp, fp, tn, fn = (int(v) for v in cells[2:6])
+            again = metrics(ConfusionCounts(tp, fp, tn, fn))
+            assert cells[8] == format_percent(again.accuracy)
 
     def test_csv_absent_metric_is_empty_cell(self):
         counts = ConfusionCounts(tp=5, fp=0, tn=0, fn=0)
