@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 training or numeric
 failure. Every error path prints a single-line diagnostic naming the
-failing subcommand to standard error.
+failing subcommand to standard error, and nothing to standard output: a
+command writes its files before it prints.
 """
 from __future__ import annotations
 
@@ -254,13 +255,13 @@ def cmd_train(args) -> int:
     pm = svm.train_pairwise(
         vectors.tolist(), labels, params, meta.seed, pairs=registry.pairs, meta=meta
     )
-    for (pos, neg), _, pair_metrics in _score_pairs(pm, vectors, labels):
+    scored = _score_pairs(pm, vectors, labels)
+    Path(args.model).write_bytes(svm.save_model(pm))  # before any print
+    for (pos, neg), _, pair_metrics in scored:
         print(
             f"pair {pos}/{neg}: train accuracy "
             f"{evaluation.format_percent(pair_metrics.accuracy)}%"
         )
-
-    Path(args.model).write_bytes(svm.save_model(pm))
     print(f"model written: {args.model}")
     return EXIT_OK
 
@@ -272,12 +273,11 @@ def cmd_evaluate(args) -> int:
     _, half = _halves(dataset.read_manifest(args.manifest), pm.classes, meta.seed)
     vectors, labels = _featurize_samples(dataset.load_manifest(args.manifest, half), meta)
     scored = _score_pairs(pm, vectors, labels)
-
+    if args.csv:  # before any print
+        Path(args.csv).write_bytes(evaluation.report_csv(scored).encode("utf-8"))
     sys.stdout.write(
         evaluation.report_table([(pair, metrics) for pair, _, metrics in scored])
     )
-    if args.csv:
-        Path(args.csv).write_bytes(evaluation.report_csv(scored).encode("utf-8"))
     return EXIT_OK
 
 
@@ -366,13 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _synthesis_errors() -> tuple:
-    """(dataset.SynthesisError,) once dataset is loaded; until then nothing
-    can have raised it, and an error exit need not load dataset to say so."""
-    dataset = sys.modules.get(f"{__package__}.dataset")
-    return () if dataset is None else (dataset.SynthesisError,)
-
-
 def main(argv=None) -> int:
     label = "usage"
     try:
@@ -387,11 +380,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except UsageError as exc:
         code, error = EXIT_USAGE, exc
-    except (
-        svm.DegenerateTrainingError,
-        svm.ConvergenceError,
-        *_synthesis_errors(),
-    ) as exc:
+    except (svm.DegenerateTrainingError, svm.ConvergenceError) as exc:
         code, error = EXIT_TRAINING, exc
     except (ValueError, OSError) as exc:
         # Covers PGM/manifest/registry/model-format errors and missing files.

@@ -27,7 +27,7 @@ from .imaging import (
     resize_to_square,
     write_pgm,
 )
-from .svm import PairRegistry
+from .svm import ConvergenceError, PairRegistry
 
 __all__ = [
     "GlyphSample",
@@ -58,7 +58,7 @@ class RegistryError(ValueError):
     """Raised for a missing or malformed confusable-pair registry."""
 
 
-class SynthesisError(RuntimeError):
+class SynthesisError(ConvergenceError):
     """Raised when every retry of a sample ends with no ink: the noise or
     the n x n resize dropped every ink pixel."""
 

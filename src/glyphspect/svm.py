@@ -60,7 +60,8 @@ class DegenerateTrainingError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The SMO loop could not reach a KKT-feasible state."""
+    """A bounded loop gave no usable result: SMO short of its KKT gap or with
+    no valid solution, or synthesis out of redraws (dataset.SynthesisError)."""
 
 
 class ModelFormatError(ValueError):

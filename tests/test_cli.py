@@ -19,13 +19,22 @@ from glyphspect import cli, dataset, evaluation, features, imaging, svm
 from glyphspect.svm import load_model
 
 
-def run(argv):
-    return cli.main(argv)
+def train(manifest, registry, model, *flags):
+    return cli.main(
+        ["train", "--manifest", str(manifest), "--registry", str(registry),
+         "--model", str(model), *flags]
+    )
+
+
+def evaluate(model, manifest, *flags):
+    return cli.main(
+        ["evaluate", "--model", str(model), "--manifest", str(manifest), *flags]
+    )
 
 
 def synth_corpus(tmp_path, count=8, flips=0.01, seed=42):
     out = tmp_path / "corpus"
-    code = run(
+    code = cli.main(
         [
             "synth",
             "--out",
@@ -76,7 +85,7 @@ class TestHelp:
         assert list(parsers) == list(OPTIONS)
         declared = declared_options(parsers[command])
         assert declared == ["-h", "--help", *OPTIONS[command].split(), "--config"]
-        assert run([command, "--help"]) == 0
+        assert cli.main([command, "--help"]) == 0
         text = capsys.readouterr().out
         assert "default" in text
         assert set(declared) <= set(text.replace(",", " ").split())
@@ -91,7 +100,7 @@ class TestHelp:
         assert {"--" + name for name in cli._SETTINGS} <= flags
 
     def test_unknown_flag_is_usage_error(self, capsys):
-        assert run(["train", "--nonsense"]) == 1
+        assert cli.main(["train", "--nonsense"]) == 1
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -104,7 +113,7 @@ class TestHelp:
     def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
         if argv[0] == "synth":
             argv = [*argv, "--out", str(tmp_path / "corpus")]
-        assert run(argv) == 1
+        assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: usage: unrecognized arguments:")
         assert err.count("\n") == 1
@@ -122,7 +131,7 @@ class TestSynth:
         assert "12 samples" in stdout
 
     def test_missing_template_dir(self, tmp_path, capsys):
-        code = run(
+        code = cli.main(
             ["synth", "--out", str(tmp_path / "o"), "--templates", str(tmp_path / "nope")]
         )
         assert code == 2
@@ -134,7 +143,7 @@ class TestSynth:
         tdir = tmp_path / "templates"
         tdir.mkdir()
         (tdir / "a.txt").write_text("not a template")
-        code = run(["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir)])
+        code = cli.main(["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir)])
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: synth: no .pgm templates in {str(tdir)!r}\n"
@@ -153,7 +162,7 @@ class TestSynth:
         (tdir / "a.pgm").write_bytes(b"P2 3 3 255\n0 0 0 0 0 0 0 255 255\n")
         bad = tdir / "b.pgm"
         bad.write_bytes(data)
-        code = run(["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir)])
+        code = cli.main(["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: synth: {str(bad)!r}: {message}")
@@ -165,7 +174,7 @@ class TestSynth:
         tdir.mkdir()
         (tdir / "blob.pgm").write_bytes(b"P2 3 3 255\n0 0 0 0 0 0 0 255 255\n")
         out = tmp_path / "corpus"
-        assert run(
+        assert cli.main(
             ["synth", "--out", str(out), "--templates", str(tdir), "--count", "2",
              "--flips", "0", "--max-shift", "0"]
         ) == 0
@@ -176,7 +185,7 @@ class TestSynth:
         tdir.mkdir()
         # single ink pixel; flips=1.0 erases it on every draw
         (tdir / "dot.pgm").write_bytes(b"P2 2 1 255\n0 255\n")
-        code = run(
+        code = cli.main(
             ["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir),
              "--count", "1", "--flips", "1.0", "--max-shift", "0"]
         )
@@ -190,7 +199,7 @@ class TestSynth:
         ids=["count", "flips", "max-shift", "scale-jitter"],
     )
     def test_out_of_range_perturbation_is_usage_error(self, tmp_path, capsys, flags):
-        code = run(["synth", "--out", str(tmp_path / "o"), *flags])
+        code = cli.main(["synth", "--out", str(tmp_path / "o"), *flags])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: synth:") and err.count("\n") == 1
@@ -201,7 +210,7 @@ class TestFeaturize:
     def test_line_format(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         capsys.readouterr()
-        assert run(["featurize", "--manifest", str(out / "manifest.csv")]) == 0
+        assert cli.main(["featurize", "--manifest", str(out / "manifest.csv")]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 8
         first = lines[0].split(",")
@@ -213,11 +222,11 @@ class TestFeaturize:
         out = synth_corpus(tmp_path, count=2)
         dest = tmp_path / "features.csv"
         argv = ["featurize", "--manifest", str(out / "manifest.csv"), "--m", "4"]
-        assert run([*argv, "--out", str(dest)]) == 0
+        assert cli.main([*argv, "--out", str(dest)]) == 0
         lines = dest.read_text().strip().splitlines()
         assert all(len(line.split(",")) == 9 for line in lines)
         capsys.readouterr()
-        assert run(argv) == 0
+        assert cli.main(argv) == 0
         # the file holds the bytes stdout gets: no line end is translated
         assert dest.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
@@ -229,7 +238,7 @@ class TestFeaturize:
         with manifest.open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([["path", "label"], *([glyph, x] for x in labels)])
         capsys.readouterr()
-        assert run(["featurize", "--manifest", str(manifest), "--m", "4"]) == 0
+        assert cli.main(["featurize", "--manifest", str(manifest), "--m", "4"]) == 0
         text = capsys.readouterr().out
         meta = svm.ModelMeta(n=32, m=4, seed=42, normalize=False)
         vectors, _ = cli._featurize_samples(dataset.load_manifest(manifest), meta)
@@ -258,7 +267,7 @@ class TestFeaturize:
         rows[2:2] = blanks
         rows[3], rows[5] = rows[5], rows[3]  # a glyph between the two blanks
         (out / "manifest.csv").write_text("\n".join(rows) + "\n")
-        code = run(["featurize", "--manifest", str(out / "manifest.csv")])
+        code = cli.main(["featurize", "--manifest", str(out / "manifest.csv")])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: featurize: {first!r}: empty glyph\n"
@@ -269,13 +278,8 @@ class TestTrainEvaluatePredict:
     def test_full_pipeline(self, tmp_path, capsys):
         out = synth_corpus(tmp_path)
         model = tmp_path / "model.json"
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(model),
-             "--gamma", "2", "--normalize-l2"]
-        )
-        assert code == 0
+        flags = ("--gamma", "2", "--normalize-l2")
+        assert train(out / "manifest.csv", out / "registry.csv", model, *flags) == 0
         stdout = capsys.readouterr().out
         assert "pair ring/ring-gap" in stdout
         assert "train accuracy" in stdout
@@ -286,11 +290,7 @@ class TestTrainEvaluatePredict:
         assert pm.meta.normalize is True
 
         csv_path = tmp_path / "report.csv"
-        code = run(
-            ["evaluate", "--model", str(model),
-             "--manifest", str(out / "manifest.csv"), "--csv", str(csv_path)]
-        )
-        assert code == 0
+        assert evaluate(model, out / "manifest.csv", "--csv", str(csv_path)) == 0
         table = capsys.readouterr().out
         assert table.startswith("Correct Character")
         assert "ring" in table and "cup" in table
@@ -313,7 +313,7 @@ class TestTrainEvaluatePredict:
             assert f"{cells[0]}" in table and cells[8] in table
 
         glyph = next(out.glob("ring_*.pgm"))
-        code = run(["predict", "--model", str(model), str(glyph)])
+        code = cli.main(["predict", "--model", str(model), str(glyph)])
         assert code == 0
         pred = capsys.readouterr().out
         pm = load_model(model.read_bytes())
@@ -330,25 +330,10 @@ class TestTrainEvaluatePredict:
         assert "decision ring/ring-gap:" in pred
         assert "decision cup/cup-bar:" in pred
 
-    def test_train_is_deterministic(self, tmp_path):
-        out = synth_corpus(tmp_path)
-        m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        for path in (m1, m2):
-            assert run(
-                ["train", "--manifest", str(out / "manifest.csv"),
-                 "--registry", str(out / "registry.csv"),
-                 "--model", str(path), "--gamma", "2", "--normalize-l2"]
-            ) == 0
-        assert m1.read_bytes() == m2.read_bytes()
-
     def test_solver_iteration_bound_exits_3(self, tmp_path, capsys, monkeypatch):
         out = synth_corpus(tmp_path, count=3)
         monkeypatch.setattr(svm, "_ITERATIONS_PER_SAMPLE", 0)
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(tmp_path / "m.json")]
-        )
+        code = train(out / "manifest.csv", out / "registry.csv", tmp_path / "m.json")
         assert code == 3
         assert "error: train:" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
@@ -361,43 +346,28 @@ class TestTrainEvaluatePredict:
         ring_rows = [r for r in rows[1:] if r.endswith(",ring")]
         others = [r for r in rows[1:] if not r.endswith(",ring")]
         manifest.write_text("\n".join([rows[0]] + ring_rows[:1] + others) + "\n")
-        code = run(
-            ["train", "--manifest", str(manifest),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(tmp_path / "m.json")]
-        )
-        assert code == 2
+        assert train(manifest, out / "registry.csv", tmp_path / "m.json") == 2
         assert "'ring'" in capsys.readouterr().err
 
     def test_registry_class_absent_from_manifest(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         registry = tmp_path / "registry.csv"
         registry.write_text("correct_class,error_class\nring,ghost\n")
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(registry), "--model", str(tmp_path / "m.json")]
-        )
-        assert code == 2
+        assert train(out / "manifest.csv", registry, tmp_path / "m.json") == 2
         assert "'ghost'" in capsys.readouterr().err
 
     def test_default_gamma_fits_raw_features(self, tmp_path):
         # raw ink counts, no --gamma: 1/(2m) would score each pair near 50%
         out = tmp_path / "corpus"
-        assert run(
+        assert cli.main(
             ["synth", "--out", str(out), "--seed", "7", "--flips", "0.05",
              "--scale-jitter", "0.2", "--max-shift", "2"]
         ) == 0
         manifest = out / "manifest.csv"
         model = tmp_path / "m.json"
         report = tmp_path / "report.csv"
-        assert run(
-            ["train", "--manifest", str(manifest),
-             "--registry", str(out / "registry.csv"), "--model", str(model)]
-        ) == 0
-        assert run(
-            ["evaluate", "--model", str(model), "--manifest", str(manifest),
-             "--csv", str(report)]
-        ) == 0
+        assert train(manifest, out / "registry.csv", model) == 0
+        assert evaluate(model, manifest, "--csv", str(report)) == 0
         accuracies = [float(row.split(",")[-1])
                       for row in report.read_text().splitlines()[1:]]
         assert len(accuracies) == 2 and min(accuracies) >= 90.0
@@ -423,10 +393,7 @@ class TestTrainEvaluatePredict:
         models = []
         for extra in ([], ["--gamma", "0.5"]):
             model = tmp_path / f"m{len(models)}.json"
-            assert run(
-                ["train", "--manifest", str(manifest), "--registry", str(registry),
-                 "--model", str(model), "--m", "1", *extra]
-            ) == 0
+            assert train(manifest, registry, model, "--m", "1", *extra) == 0
             models.append(model.read_bytes())
         # with m = 1 both features are the ink count, so Var is exactly 0
         assert models[0] == models[1]
@@ -442,28 +409,20 @@ class TestTrainEvaluatePredict:
             cfg.write_text(json.dumps({"gamma": 0.3}))
             extra = ["--config", str(cfg)]
         model = tmp_path / "m.json"
-        assert run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"), "--model", str(model), *extra]
-        ) == 0
+        assert train(out / "manifest.csv", out / "registry.csv", model, *extra) == 0
         assert load_model(model.read_bytes()).models[0].gamma == 0.3
 
     def test_evaluate_refuses_manifest_missing_a_model_class(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
         model = tmp_path / "m.json"
-        assert run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(model), "--gamma", "2"]
-        ) == 0
+        assert train(out / "manifest.csv", out / "registry.csv", model, "--gamma", "2") == 0
         rows = (out / "manifest.csv").read_text().splitlines()
         manifest = out / "no-cup.csv"
         manifest.write_text(
             "\n".join(r for r in rows if not r.endswith(",cup")) + "\n"
         )
         capsys.readouterr()
-        code = run(["evaluate", "--model", str(model), "--manifest", str(manifest)])
-        assert code == 2
+        assert evaluate(model, manifest) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "'cup'" in captured.err
@@ -471,11 +430,7 @@ class TestTrainEvaluatePredict:
     def test_single_sample_class_is_refused_by_the_split(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
         model = tmp_path / "m.json"
-        assert run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"),
-             "--model", str(model), "--gamma", "2"]
-        ) == 0
+        assert train(out / "manifest.csv", out / "registry.csv", model, "--gamma", "2") == 0
         rows = (out / "manifest.csv").read_text().splitlines()
         cups = [r for r in rows if r.endswith(",cup")]
         manifest = out / "one-cup.csv"
@@ -483,17 +438,32 @@ class TestTrainEvaluatePredict:
             "\n".join([r for r in rows if not r.endswith(",cup")] + cups[:1]) + "\n"
         )
         capsys.readouterr()
-        for argv in (
-            ["train", "--manifest", str(manifest), "--registry",
-             str(out / "registry.csv"), "--model", str(tmp_path / "m2.json")],
-            ["evaluate", "--model", str(model), "--manifest", str(manifest)],
+        for command, argv in (
+            (train, (manifest, out / "registry.csv", tmp_path / "m2.json")),
+            (evaluate, (model, manifest)),
         ):
-            assert run(argv) == 2
+            assert command(*argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.count("\n") == 1
             assert "class 'cup' has only 1 sample(s)" in captured.err
         assert not (tmp_path / "m2.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_an_unwritable_file_leaves_stdout_empty(
+        self, predict_files, tmp_path, capsys, command
+    ):
+        # each command writes its file before it prints a result
+        model, glyph, _ = predict_files
+        manifest, missing = glyph.parent / "manifest.csv", tmp_path / "nodir" / "out"
+        if command == "train":
+            code = train(manifest, glyph.parent / "registry.csv", missing)
+        else:
+            code = evaluate(model, manifest, "--csv", str(missing))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {command}: ")
 
     def test_train_names_first_blank_glyph_of_the_train_half(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
@@ -512,11 +482,7 @@ class TestTrainEvaluatePredict:
             dataset.load_manifest(out / "manifest.csv"), 42
         )
         first = next(s.source_id for s in train_half if s.label == "ring")
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"), "--model", str(tmp_path / "m")]
-        )
-        assert code == 2
+        assert train(out / "manifest.csv", out / "registry.csv", tmp_path / "m") == 2
         assert capsys.readouterr().err == f"error: train: {first!r}: empty glyph\n"
 
     def test_evaluate_class_in_two_pairs(self, tmp_path, capsys):
@@ -525,15 +491,10 @@ class TestTrainEvaluatePredict:
         registry.write_text("correct_class,error_class\nring,ring-gap\nring,cup\n")
         model = tmp_path / "m.json"
         csv_path = tmp_path / "report.csv"
-        assert run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(registry), "--model", str(model),
-             "--gamma", "2", "--normalize-l2"]
+        assert train(
+            out / "manifest.csv", registry, model, "--gamma", "2", "--normalize-l2"
         ) == 0
-        assert run(
-            ["evaluate", "--model", str(model),
-             "--manifest", str(out / "manifest.csv"), "--csv", str(csv_path)]
-        ) == 0
+        assert evaluate(model, out / "manifest.csv", "--csv", str(csv_path)) == 0
 
         pm = load_model(model.read_bytes())
         samples = dataset.load_manifest(out / "manifest.csv")
@@ -571,12 +532,8 @@ class TestTrainEvaluatePredict:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma": float("nan")}))  # writes the NaN literal
         model = tmp_path / "m.json"
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"), "--model", str(model),
-             "--config", str(cfg)]
-        )
-        assert code == 1
+        flags = ("--config", str(cfg))
+        assert train(out / "manifest.csv", out / "registry.csv", model, *flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: train:") and err.count("\n") == 1
         assert "must be positive and finite" in err
@@ -585,25 +542,23 @@ class TestTrainEvaluatePredict:
     def test_predict_empty_glyph(self, tmp_path, capsys):
         out = synth_corpus(tmp_path)
         model = tmp_path / "model.json"
-        run(["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"), "--model", str(model),
-             "--gamma", "2", "--normalize-l2"])
+        flags = ("--gamma", "2", "--normalize-l2")
+        train(out / "manifest.csv", out / "registry.csv", model, *flags)
         capsys.readouterr()
         blank = tmp_path / "blank.pgm"
         blank.write_bytes(b"P2 4 4 255\n" + b"255 " * 16 + b"\n")
-        code = run(["predict", "--model", str(model), str(blank)])
+        code = cli.main(["predict", "--model", str(model), str(blank)])
         assert code == 2
         assert capsys.readouterr().err == f"error: predict: {str(blank)!r}: empty glyph\n"
 
     def test_predict_names_a_malformed_image(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         model = tmp_path / "model.json"
-        run(["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"), "--model", str(model)])
+        train(out / "manifest.csv", out / "registry.csv", model)
         capsys.readouterr()
         cut = tmp_path / "cut\nshort.pgm"  # the quoted path keeps one line
         cut.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
-        code = run(["predict", "--model", str(model), str(cut)])
+        code = cli.main(["predict", "--model", str(model), str(cut)])
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: predict: {str(cut)!r}: "
@@ -614,20 +569,13 @@ class TestTrainEvaluatePredict:
         out = synth_corpus(tmp_path, count=2)
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        code = run(
-            ["evaluate", "--model", str(bad), "--manifest", str(out / "manifest.csv")]
-        )
-        assert code == 2
+        assert evaluate(bad, out / "manifest.csv") == 2
 
     @pytest.mark.parametrize("flags", [["--m", "0"], ["--n", "0"], ["--gamma", "0"],
                                        ["--c", "-1"], ["--gamma", "nan"],
                                        ["--gamma", "inf"], ["--c", "inf"]])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
-        code = run(
-            ["train", "--manifest", str(tmp_path / "none.csv"),
-             "--registry", str(tmp_path / "r.csv"), "--model", str(tmp_path / "m"),
-             *flags]
-        )
+        code = train(tmp_path / "none.csv", tmp_path / "r.csv", tmp_path / "m", *flags)
         assert code == 1
         assert capsys.readouterr().err.startswith("error: train:")
 
@@ -636,27 +584,20 @@ class TestTrainEvaluatePredict:
         capsys.readouterr()
         deep = tmp_path / "deep.json"
         deep.write_bytes(b"[" * 100000)
-        code = run(
-            ["evaluate", "--model", str(deep), "--manifest", str(out / "manifest.csv")]
-        )
-        assert code == 2
+        assert evaluate(deep, out / "manifest.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: evaluate:") and err.count("\n") == 1
 
     def test_newline_in_model_class_is_one_line_data_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
         model = tmp_path / "model.json"
-        run(["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"), "--model", str(model)])
+        train(out / "manifest.csv", out / "registry.csv", model)
         capsys.readouterr()
         doc = json.loads(model.read_text())
         entry = doc["pairs"][0]
         entry["pos_class"], entry["bias"] = "ring\nevil", "x"
         model.write_text(json.dumps(doc))
-        code = run(
-            ["evaluate", "--model", str(model), "--manifest", str(out / "manifest.csv")]
-        )
-        assert code == 2
+        assert evaluate(model, out / "manifest.csv") == 2
         assert capsys.readouterr().err == (
             f"error: evaluate: pair 'ring\\nevil'/{entry['neg_class']!r}: "
             "field 'bias' must be a real number\n"
@@ -667,11 +608,7 @@ class TestTrainEvaluatePredict:
         capsys.readouterr()
         manifest = tmp_path / "big.csv"
         manifest.write_bytes(b"path,label\n" + b"a" * 131073 + b",ring\n")
-        code = run(
-            ["train", "--manifest", str(manifest),
-             "--registry", str(out / "registry.csv"), "--model", str(tmp_path / "m")]
-        )
-        assert code == 2
+        assert train(manifest, out / "registry.csv", tmp_path / "m") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: train:") and err.count("\n") == 1
 
@@ -685,11 +622,7 @@ class TestTrainEvaluatePredict:
         manifest.write_text("\n".join(rows) + "\n")
         train_half, _ = dataset.split_even(dataset.read_manifest(manifest), 42)
         line_no = next(row.line_no for row in train_half if row.label == "ring")
-        code = run(
-            ["train", "--manifest", str(manifest),
-             "--registry", str(out / "registry.csv"), "--model", str(tmp_path / "m")]
-        )
-        assert code == 2
+        assert train(manifest, out / "registry.csv", tmp_path / "m") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: train: manifest row {line_no}: 'a\\nb'")
         assert err.count("\n") == 1
@@ -699,11 +632,7 @@ class TestTrainEvaluatePredict:
         capsys.readouterr()
         registry = tmp_path / "nl.csv"
         registry.write_bytes(b'correct_class,error_class\n"ri\nng",cup\n')
-        code = run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(registry), "--model", str(tmp_path / "m")]
-        )
-        assert code == 2
+        assert train(out / "manifest.csv", registry, tmp_path / "m") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: train: class 'ri\\nng' has 0 sample(s)")
         assert err.count("\n") == 1
@@ -724,33 +653,19 @@ class TestTrainEvaluatePredict:
             "--templates": ["synth", "--out", str(tmp_path / "o"), "--templates", bad],
             "--config": ["featurize", "--manifest", manifest, "--config", bad],
         }[flag]
-        assert run(argv) == code
+        assert cli.main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: {argv[0]}:") and err.count("\n") == 1
         assert repr(bad) in err
 
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
-        code = run(
-            ["train", "--manifest", str(tmp_path / "none.csv"),
-             "--registry", str(tmp_path / "r.csv"), "--model", str(tmp_path / "m")]
-        )
-        assert code == 2
+        assert train(tmp_path / "none.csv", tmp_path / "r.csv", tmp_path / "m") == 2
 
 
 class TestDecodeOnlyTheHalfUsed:
     """`train` and `evaluate` decode only the manifest rows of the half they use."""
 
-    def train(self, out, model):
-        return run(
-            ["train", "--manifest", str(out / "manifest.csv"),
-             "--registry", str(out / "registry.csv"), "--model", str(model),
-             "--gamma", "2", "--normalize-l2"]
-        )
-
-    def evaluate(self, out, model):
-        return run(
-            ["evaluate", "--model", str(model), "--manifest", str(out / "manifest.csv")]
-        )
+    FLAGS = ("--gamma", "2", "--normalize-l2")
 
     @pytest.fixture
     def decoded(self, monkeypatch):
@@ -771,10 +686,10 @@ class TestDecodeOnlyTheHalfUsed:
             dataset.read_manifest(out / "manifest.csv"), 42
         )
         model = tmp_path / "m.json"
-        assert self.train(out, model) == 0
+        assert train(out / "manifest.csv", out / "registry.csv", model, *self.FLAGS) == 0
         assert decoded == [(out / row.source_id).read_bytes() for row in train_half]
         decoded.clear()
-        assert self.evaluate(out, model) == 0
+        assert evaluate(model, out / "manifest.csv") == 0
         assert decoded == [(out / row.source_id).read_bytes() for row in test_half]
 
     def test_corrupt_test_half_glyph_fails_only_evaluate(self, tmp_path, capsys):
@@ -783,9 +698,9 @@ class TestDecodeOnlyTheHalfUsed:
         bad = test_half[1]
         (out / bad.source_id).write_bytes(b"P2 broken")
         model = tmp_path / "m.json"
-        assert self.train(out, model) == 0
+        assert train(out / "manifest.csv", out / "registry.csv", model, *self.FLAGS) == 0
         capsys.readouterr()
-        assert self.evaluate(out, model) == 2
+        assert evaluate(model, out / "manifest.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith(
             f"error: evaluate: manifest row {bad.line_no}: {bad.source_id!r}: "
@@ -800,16 +715,16 @@ class TestDecodeOnlyTheHalfUsed:
         (out / "ghost.pgm").write_bytes(b"P2 broken")
         manifest.write_text(text + "ghost.pgm,ghost\n" * 3)
         model = tmp_path / "m.json"
-        assert self.train(out, model) == 0
-        assert self.evaluate(out, model) == 0
+        assert train(out / "manifest.csv", out / "registry.csv", model, *self.FLAGS) == 0
+        assert evaluate(model, out / "manifest.csv") == 0
         assert len(decoded) == 16 and b"P2 broken" not in decoded
         decoded.clear()
         capsys.readouterr()
 
         manifest.write_text(text + "just-one-field\n")
         line_no = len(text.splitlines()) + 1
-        assert self.train(out, model) == 2
-        assert self.evaluate(out, model) == 2
+        assert train(out / "manifest.csv", out / "registry.csv", model, *self.FLAGS) == 2
+        assert evaluate(model, out / "manifest.csv") == 2
         assert capsys.readouterr().err == "".join(
             f"error: {cmd}: manifest row {line_no}: expected 'path,label'\n"
             for cmd in ("train", "evaluate")
@@ -823,7 +738,7 @@ class TestConfigFile:
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 4, "n": 16}))
-        assert run(
+        assert cli.main(
             ["featurize", "--manifest", str(out / "manifest.csv"),
              "--config", str(cfg), "--m", "2"]
         ) == 0
@@ -840,10 +755,10 @@ class TestConfigFile:
 
         def synth_and_featurize(name, synth_flags, featurize_flags):
             out = tmp_path / name
-            assert run(["synth", "--out", str(out), "--count", "2", *synth_flags]) == 0
+            assert cli.main(["synth", "--out", str(out), "--count", "2", *synth_flags]) == 0
             capsys.readouterr()
             manifest = str(out / "manifest.csv")
-            assert run(["featurize", "--manifest", manifest, *featurize_flags]) == 0
+            assert cli.main(["featurize", "--manifest", manifest, *featurize_flags]) == 0
             files = {p.name: p.read_bytes() for p in out.iterdir()}
             return files, capsys.readouterr().out
 
@@ -857,11 +772,11 @@ class TestConfigFile:
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"manifest": str(out / "manifest.csv"), "m": 2}))
-        assert run(["featurize", "--config", str(cfg)]) == 0
+        assert cli.main(["featurize", "--config", str(cfg)]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 8
 
     def test_missing_required_path_is_usage_error(self, capsys):
-        assert run(["featurize"]) == 1
+        assert cli.main(["featurize"]) == 1
         assert "--manifest" in capsys.readouterr().err
 
     def test_config_keys_follow_the_flags(self):
@@ -874,38 +789,40 @@ class TestConfigFile:
     def test_config_can_supply_every_path(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
         capsys.readouterr()
-        manifest = str(out / "manifest.csv")
+        glyph = str(next(out.glob("ring_*.pgm")))
 
-        def train_and_evaluate(tag):
-            """Model bytes, stdout and CSV of train then evaluate, each given
-            every path it reads by flags or, for tag "config", by one config
-            file the two share, each ignoring the keys it does not read."""
+        def pipeline(tag):
+            """Model bytes, stdout and CSV of train, evaluate and predict, each
+            given every path it reads by flags or, for tag "config", by one
+            config file the three share, each ignoring the keys it does not
+            read."""
             run_dir = tmp_path / tag
             run_dir.mkdir()
-            paths = {"manifest": manifest, "registry": str(out / "registry.csv"),
+            paths = {"manifest": str(out / "manifest.csv"),
+                     "registry": str(out / "registry.csv"),
                      "model": str(run_dir / "model.json"),
                      "csv": str(run_dir / "report.csv")}
             cfg = run_dir / "shared.json"
             cfg.write_text(json.dumps({**paths, "gamma": 2, "normalize_l2": True}))
-            for command, keys, extra in (
-                ("train", ("manifest", "registry", "model"),
-                 ["--gamma", "2", "--normalize-l2"]),
-                ("evaluate", ("model", "manifest", "csv"), []),
-            ):
-                if tag == "config":
-                    argv = ["--config", str(cfg)]
-                else:
-                    argv = [arg for key in keys for arg in ("--" + key, paths[key])] + extra
-                assert run([command, *argv]) == 0
+            if tag == "config":
+                for argv in (["train"], ["evaluate"], ["predict", glyph]):
+                    assert cli.main([*argv, "--config", str(cfg)]) == 0
+            else:
+                manifest, registry, model, report = paths.values()
+                flags = ("--gamma", "2", "--normalize-l2")
+                assert train(manifest, registry, model, *flags) == 0
+                assert evaluate(model, manifest, "--csv", report) == 0
+                assert cli.main(["predict", "--model", model, glyph]) == 0
             stdout = capsys.readouterr().out.replace(str(run_dir), "DIR")
             return (
                 (run_dir / "model.json").read_bytes(), stdout,
                 (run_dir / "report.csv").read_bytes(),
             )
 
-        flags = train_and_evaluate("flags")
-        assert train_and_evaluate("config") == flags
+        flags = pipeline("flags")
+        assert pipeline("config") == flags
         assert "model written: DIR" in flags[1] and "ring-gap" in flags[1]
+        assert "\npredicted: " in flags[1]
 
     @pytest.mark.parametrize(
         "argv, missing",
@@ -920,7 +837,7 @@ class TestConfigFile:
         # evaluate's model file and train's manifest are both bad: the missing
         # path is reported first, as a usage error
         (tmp_path / "bad.json").write_text("{}")
-        code = run([arg.format(tmp=tmp_path) for arg in argv])
+        code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: {argv[0]}: {missing} is required (flag or config file)\n"
@@ -930,7 +847,7 @@ class TestConfigFile:
         out = synth_corpus(tmp_path, count=2)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
-        code = run(
+        code = cli.main(
             ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
         )
         assert code == 1
@@ -945,7 +862,7 @@ class TestConfigFile:
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        code = run(
+        code = cli.main(
             ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
         )
         assert code == 1
@@ -963,7 +880,7 @@ class TestConfigFile:
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(data)
-        code = run(
+        code = cli.main(
             ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
         )
         assert code == 1
@@ -974,7 +891,7 @@ class TestConfigFile:
 
     def test_invalid_m_is_usage_error(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=2)
-        code = run(
+        code = cli.main(
             ["featurize", "--manifest", str(out / "manifest.csv"), "--m", "64"]
         )
         assert code == 1
@@ -985,7 +902,7 @@ class TestConfigFile:
 def config_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("config")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert run(["synth", "--out", str(root / "corpus"), "--count", "1"]) == 0
+        assert cli.main(["synth", "--out", str(root / "corpus"), "--count", "1"]) == 0
     return root
 
 
@@ -1033,7 +950,7 @@ def test_config_reader_raises_only_usage_errors(config_dir, data):
     path.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = run(
+        code = cli.main(
             ["featurize", "--manifest", str(config_dir / "corpus" / "manifest.csv"),
              "--config", str(path)]
         )
@@ -1057,7 +974,7 @@ def test_exit_code_of_each_error_kind(monkeypatch, capsys, error, code):
         raise error
 
     monkeypatch.setattr(cli, "cmd_featurize", fail)
-    assert run(["featurize", "--manifest", "manifest.csv"]) == code
+    assert cli.main(["featurize", "--manifest", "manifest.csv"]) == code
     assert capsys.readouterr() == ("", "error: featurize: boom\n")
 
 
@@ -1067,7 +984,7 @@ def test_unexpected_error_propagates(monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_featurize", fail)
     with pytest.raises(RuntimeError, match="boom"):
-        run(["featurize", "--manifest", "manifest.csv"])
+        cli.main(["featurize", "--manifest", "manifest.csv"])
 
 
 # ---------------------------------------------------------------- process entry
@@ -1078,10 +995,7 @@ def predict_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("entry")
     corpus, model = root / "corpus", root / "model.json"
     assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
-    assert cli.main(
-        ["train", "--manifest", str(corpus / "manifest.csv"),
-         "--registry", str(corpus / "registry.csv"), "--model", str(model)]
-    ) == 0
+    assert train(corpus / "manifest.csv", corpus / "registry.csv", model) == 0
     corrupt = root / "corrupt.pgm"
     corrupt.write_bytes(b"P2 broken")
     return model, sorted(corpus.glob("*.pgm"))[0], corrupt
@@ -1107,7 +1021,7 @@ class _Stream:
 
 
 def _entry_calls(monkeypatch, stdout_error=None):
-    """run() with every step it takes logged in order, and its result."""
+    """cli.main() with every step it takes logged in order, and its result."""
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
@@ -1182,8 +1096,7 @@ def test_module_entry_prints_and_exits_as_main(
 ):
     model, glyph, corrupt = predict_files
     # ink only in two opposite corners: the 1x1 resize keeps none, so every
-    # retry fails, and the SynthesisError that the lazily loaded dataset
-    # module defines must still exit 3
+    # retry fails and synth exits 3
     (tmp_path / "corner").mkdir()
     (tmp_path / "corner" / "corner.pgm").write_bytes(
         b"P2 3 3 255\n255 255 0\n255 255 255\n0 255 255\n"

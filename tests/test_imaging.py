@@ -22,33 +22,6 @@ from glyphspect.imaging import (
 )
 
 
-def otsu_scan_oracle(img: GrayImage) -> int:
-    """Exhaustive 256-threshold scan with exact rational arithmetic.
-
-    Recounts pixels from scratch for every candidate threshold; first
-    maximum wins (smallest threshold on ties).
-    """
-    best_t, best_var = 0, Fraction(-1)
-    pixels = img.pixels.ravel().tolist()
-    total = len(pixels)
-    for t in range(256):
-        low = [p for p in pixels if p <= t]
-        high = [p for p in pixels if p > t]
-        if not low or not high:
-            var = Fraction(0)
-        else:
-            mean_low = Fraction(sum(low), len(low))
-            mean_high = Fraction(sum(high), len(high))
-            var = (
-                Fraction(len(low), total)
-                * Fraction(len(high), total)
-                * (mean_low - mean_high) ** 2
-            )
-        if var > best_var:
-            best_t, best_var = t, var
-    return best_t
-
-
 def otsu_histogram_oracle(pixels) -> int:
     """Exact Otsu argmax over all 256 thresholds from the histogram, in Fractions.
 
@@ -79,8 +52,8 @@ def otsu_mask(img: GrayImage, t: int) -> list:
     return ((px <= t) & (px.min() < px.max())).tolist()
 
 
-# one-level, two-level and three-level rasters, small enough for the
-# exhaustive scan; the closed form for one and two levels must agree with it
+# one-level, two-level and three-level rasters for the exact oracle; the
+# closed form for one and two levels must agree with it
 OTSU_EDGE_RASTERS = {
     "uniform-0": (3, 2, (0,) * 6),
     "uniform-255": (2, 3, (255,) * 6),
@@ -447,10 +420,10 @@ def test_write_pgm_matches_per_row_join(raster):
 
 class TestBinarizeOtsu:
     def test_bimodal(self):
-        img = GrayImage(2, 2, (0, 0, 255, 255))
-        mask, t = binarize_otsu(img)
+        px = (0, 0, 255, 255)
+        mask, t = binarize_otsu(GrayImage(2, 2, px))
         assert mask.pixels.tolist() == [[1, 1], [0, 0]]
-        assert t == otsu_scan_oracle(img)
+        assert t == otsu_histogram_oracle(px)
 
     def test_uniform_is_all_background(self):
         mask, t = binarize_otsu(GrayImage(2, 2, (128,) * 4))
@@ -458,9 +431,9 @@ class TestBinarizeOtsu:
         assert mask.pixels.tolist() == [[0, 0], [0, 0]]
 
     def test_ramp_matches_scan(self):
-        img = GrayImage(4, 4, tuple(i * 17 for i in range(16)))
-        _, t = binarize_otsu(img)
-        assert t == otsu_scan_oracle(img)
+        px = tuple(i * 17 for i in range(16))
+        _, t = binarize_otsu(GrayImage(4, 4, px))
+        assert t == otsu_histogram_oracle(px)
 
     def test_random_images_match_exhaustive_scan(self):
         rng = random.Random(99)
@@ -476,7 +449,7 @@ class TestBinarizeOtsu:
         for name, (w, h, px) in rasters.items():
             img = GrayImage(w, h, px)
             mask, t = binarize_otsu(img)
-            assert t == otsu_scan_oracle(img), name
+            assert t == otsu_histogram_oracle(px), name
             assert mask.pixels.tolist() == otsu_mask(img, t), name
 
     @pytest.mark.parametrize(
