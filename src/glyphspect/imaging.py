@@ -267,12 +267,16 @@ def binarize_otsu(img: GrayImage) -> tuple[BinaryImage, int]:
 
 
 def crop_to_bbox(img: BinaryImage) -> BinaryImage:
-    """Crop to the minimal axis-aligned rectangle containing all ink."""
-    rows = img.pixels.any(axis=1)
+    """Crop to the minimal axis-aligned rectangle containing all ink; a mask
+    with ink on all four borders, as any cropped glyph has, is returned as is."""
+    px = img.pixels
+    if all(map(np.count_nonzero, (px[0], px[-1], px[:, 0], px[:, -1]))):
+        return img
+    rows = px.any(axis=1)
     top = rows.argmax()
     if not rows[top]:
         raise EmptyGlyphError("empty glyph")
-    band = img.pixels[top : len(rows) - rows[::-1].argmax()]  # inked rows, a view
+    band = px[top : len(rows) - rows[::-1].argmax()]  # inked rows, a view
     cols = band.any(axis=0)  # over the band only: no column has ink outside it
     return BinaryImage._adopt(band[:, cols.argmax() : len(cols) - cols[::-1].argmax()])
 

@@ -90,6 +90,15 @@ class TestHelp:
         assert "default" in text
         assert set(declared) <= set(text.replace(",", " ").split())
 
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_of_the_running_command_equals_the_full_table(
+        self, command, capsys, monkeypatch
+    ):
+        # main declares only the flags of the subcommand it runs
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.main([command, "--help"]) == 0
+        assert capsys.readouterr().out == subcommand_parsers()[command].format_help()
+
     def test_every_setting_is_a_flag_of_some_subcommand(self):
         # the config file drops a key the running subcommand lacks without a
         # word, so a setting no subcommand takes would be a key none reads

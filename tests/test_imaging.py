@@ -503,6 +503,31 @@ class TestBinarizeOtsu:
         assert mask.pixels.tolist() == otsu_mask(img, t)
 
 
+def random_grids():
+    """200 seeded grids with some ink, of sides 1-12; in about half of them
+    the ink lies inside a random window, so some borders are blank."""
+    rng = random.Random(35)
+    grids = []
+    while len(grids) < 200:
+        height, width = rng.randint(1, 12), rng.randint(1, 12)
+        r0, r1, c0, c1 = 0, height, 0, width
+        if rng.random() < 0.5:
+            r0, c0 = rng.randrange(height), rng.randrange(width)
+            r1, c1 = rng.randint(r0 + 1, height), rng.randint(c0 + 1, width)
+        density = rng.choice((0.1, 0.3, 0.7))
+        grid = [
+            "".join(
+                "1" if r0 <= r < r1 and c0 <= c < c1 and rng.random() < density
+                else "0"
+                for c in range(width)
+            )
+            for r in range(height)
+        ]
+        if "1" in "".join(grid):
+            grids.append(grid)
+    return grids
+
+
 class TestCropToBbox:
     def test_single_pixel(self):
         px = [0] * 25
@@ -528,24 +553,35 @@ class TestCropToBbox:
         assert out.pixels.tolist() == [[1, 1, 0], [0, 1, 1]]
 
     @pytest.mark.parametrize(
-        "grid",
+        "grids",
         [
-            ["00100", "10000", "00001", "01000"],  # ink on every border
-            ["000", "000", "010"],
-            ["0000", "0000", "0001"],  # a corner
-            ["001010"],  # 1 x k
-            ["1", "0", "1", "1", "0", "0"],  # k x 1
-            ["011", "000", "000"],
+            [["00100", "10000", "00001", "01000"]],  # ink on every border
+            [["000", "000", "010"]],
+            [["0000", "0000", "0001"]],  # a corner
+            [["001010"]],  # 1 x k
+            [["1", "0", "1", "1", "0", "0"]],  # k x 1
+            [["011", "000", "000"]],
+            # ink on exactly three borders, one grid per blank side
+            [["0000", "1001", "0110"]],
+            [["0110", "1001", "0000"]],
+            [["010", "001", "001", "010"]],
+            [["010", "100", "100", "010"]],
+            [["1000", "0000", "0001"]],  # only two opposite corners
+            [["1"]],
+            random_grids(),
         ],
-        ids=["all-borders", "one-pixel", "corner", "1xk", "kx1", "top-row"],
+        ids=["all-borders", "one-pixel", "corner", "1xk", "kx1", "top-row",
+             "no-top", "no-bottom", "no-left", "no-right", "opposite-corners",
+             "1x1", "seeded-random"],
     )
-    def test_matches_the_nonzero_box(self, grid):
-        pixels = [[c == "1" for c in row] for row in grid]
-        mask = BinaryImage(len(grid[0]), len(grid), pixels)
-        out = crop_to_bbox(mask)
-        rows, cols = np.nonzero(mask.pixels)
-        box = mask.pixels[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
-        assert out.pixels.tolist() == box.tolist()
+    def test_matches_the_nonzero_box(self, grids):
+        for grid in grids:
+            pixels = [[c == "1" for c in row] for row in grid]
+            mask = BinaryImage(len(grid[0]), len(grid), pixels)
+            out = crop_to_bbox(mask)
+            rows, cols = np.nonzero(mask.pixels)
+            box = mask.pixels[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
+            assert out.pixels.tolist() == box.tolist(), grid
 
     def test_empty_glyph(self):
         with pytest.raises(EmptyGlyphError, match="empty glyph"):
