@@ -299,9 +299,7 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """Every subcommand's help line, and the flags of `command` alone when it
-    names a subcommand (`main` passes the one it runs), else of all five."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="glyphspect",
         description=(
@@ -353,10 +351,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             "model", ("image", dict(help="PGM glyph image to classify")),
         )),
     }
-    for name, (func, help_line, flags) in commands.items():
-        p_sub = sub.add_parser(name, help=help_line)
-        if command in commands and name != command:
-            continue
+    for command, (func, help_line, flags) in commands.items():
+        p_sub = sub.add_parser(command, help=help_line)
         for flag in flags:
             if isinstance(flag, str):
                 p_sub.add_argument("--" + flag, default=None, **_SETTINGS[flag])
@@ -373,8 +369,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     label = "usage"
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
         label = args.command
         _load_config_file(args)
         for name in _REQUIRED:

@@ -26,6 +26,7 @@ from . import _FrozenValue, _float, _floats, _int
 
 __all__ = [
     "FORMAT_VERSION",
+    "N_MAX",
     "DegenerateTrainingError",
     "ConvergenceError",
     "ModelFormatError",
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# The largest raster side n: cli featurizes 256 glyphs at a time, as n-by-n
+# bool masks and their float64 copy, 9 * 256 * n**2 bytes (151 MB at 256).
+N_MAX = 256
 
 _ZERO_ALPHA = 1e-8  # multipliers at or below this count as zero and are dropped
 _EQUALITY_TOL = 1e-6  # bound on |sum(alpha_i * y_i)| for stored models
@@ -324,8 +328,8 @@ class ModelMeta(_FrozenValue):
     """Pipeline facts baked into a model file: raster side, coefficient count,
     the split seed, and whether feature vectors were L2-normalized. A side,
     count or seed that is not an integer (a bool or 2.0 included), or a flag
-    that is not a bool, raises TypeError; a side or count out of range, or
-    an integer too long for str() to render, ValueError."""
+    that is not a bool, raises TypeError; a side outside [1, N_MAX], a count
+    outside [1, n], or an integer too long for str() to render, ValueError."""
 
     def __init__(self, n: int, m: int, seed: int, normalize: bool = False):
         # the JSON types load_model requires: a numpy integer becomes an int
@@ -343,6 +347,8 @@ class ModelMeta(_FrozenValue):
         self.__dict__["normalize"] = normalize
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.n > N_MAX:
+            raise ValueError(f"n must be at most {N_MAX}, got {self.n}")
         if not 1 <= self.m <= self.n:
             raise ValueError(f"m must satisfy 1 <= m <= {self.n}, got {self.m}")
 

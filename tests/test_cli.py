@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,15 +91,6 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "default" in text
         assert set(declared) <= set(text.replace(",", " ").split())
-
-    @pytest.mark.parametrize("command", list(OPTIONS))
-    def test_help_of_the_running_command_equals_the_full_table(
-        self, command, capsys, monkeypatch
-    ):
-        # main declares only the flags of the subcommand it runs
-        monkeypatch.setenv("COLUMNS", "80")
-        assert cli.main([command, "--help"]) == 0
-        assert capsys.readouterr().out == subcommand_parsers()[command].format_help()
 
     def test_every_setting_is_a_flag_of_some_subcommand(self):
         # the config file drops a key the running subcommand lacks without a
@@ -994,6 +987,141 @@ def test_unexpected_error_propagates(monkeypatch):
     monkeypatch.setattr(cli, "cmd_featurize", fail)
     with pytest.raises(RuntimeError, match="boom"):
         cli.main(["featurize", "--manifest", "manifest.csv"])
+
+
+# No path exists: the bound is checked before any file is read or written,
+# and so before any n-by-n raster is allocated.
+_PATHS_OF = {
+    "synth": ["--out", "corpus"],
+    "featurize": ["--manifest", "none.csv"],
+    "train": ["--manifest", "none.csv", "--registry", "none.csv", "--model", "m.json"],
+}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command", list(_PATHS_OF))
+def test_n_above_the_bound_is_usage_error(tmp_path, monkeypatch, capsys, command, route):
+    monkeypatch.chdir(tmp_path)
+    n = svm.N_MAX + 1
+    flags = ["--n", str(n)]
+    if route == "config":
+        Path("cfg.json").write_text(json.dumps({"n": n}))
+        flags = ["--config", "cfg.json"]
+    assert cli.main([command, *_PATHS_OF[command], *flags]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {command}: n must be at most {svm.N_MAX}, got {n}\n"
+    )
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json"}
+
+
+def _raster_above_the_bound(doc):
+    doc["n"] = svm.N_MAX + 1
+    return f"n must be at most {svm.N_MAX}, got {svm.N_MAX + 1}"
+
+
+def _string_support_component(doc):
+    pair = doc["pairs"][0]
+    pair["support"][0]["x"][-1] = "0.5"
+    return (
+        f"pair {pair['pos_class']!r}/{pair['neg_class']!r}: "
+        "support component must be a real number"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, poison", [("predict", _raster_above_the_bound),
+                        ("evaluate", _string_support_component)],
+)
+def test_model_that_load_model_refuses_is_data_error(
+    predict_files, tmp_path, capsys, command, poison
+):
+    model, glyph, _ = predict_files
+    doc = json.loads(model.read_bytes())
+    message = poison(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    operand = ["--manifest", str(glyph.parent / "manifest.csv")]
+    if command == "predict":
+        operand = [str(glyph)]
+    assert cli.main([command, "--model", str(bad), *operand]) == 2
+    assert capsys.readouterr() == ("", f"error: {command}: {message}\n")
+
+
+# --------------------------------------------------------- the error contract
+
+# Tokens the mutation check inserts: an overflowing real, a non-number, an
+# integer past every bound, and the CSV and JSON delimiters.
+_TOKENS = (b"1e999", b"NaN", b"9" * 30, b",", b'"', b"\n")
+
+
+def _mutated(data: bytes, rng: random.Random) -> bytes:
+    """`data` after 1-4 bit flips, short deletions or token insertions. Each
+    lands, with equal odds, at any byte, in the first 64 (headers and leading
+    fields) or at a digit (the numbers every format carries)."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        every = range(len(data))
+        digits = [i for i in every if data[i] in b"0123456789"] or every
+        at = rng.choice(rng.choice([every, every[:64], digits]))
+        edit = rng.randrange(3)
+        if edit == 0:
+            data[at] ^= 1 << rng.randrange(8)
+        elif edit == 1:
+            del data[at : at + rng.randint(1, 4)]
+        else:
+            data[at:at] = rng.choice(_TOKENS)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("target", ["model", "pgm", "manifest", "registry", "config"])
+def test_mutated_inputs_keep_the_error_contract(predict_files, tmp_path, capsys, target):
+    # every failure is one stderr line, an empty stdout and exit 1-3
+    model, glyph, _ = predict_files
+    corpus = tmp_path / "corpus"
+    shutil.copytree(glyph.parent, corpus)
+    (corpus / "one.csv").write_text("path,label\nmutant,a\n")
+    gray = imaging.load_pgm(glyph.read_bytes())
+    p5 = b"P5\n%d %d\n255\n" % (gray.width, gray.height) + gray.pixels.tobytes()
+    config = {"n": 16, "m": 8, "gamma": 0.5, "c": 10, "seed": 3, "normalize_l2": True}
+    x, out = str(corpus / "mutant"), str(tmp_path / "out")
+    manifest, registry = str(corpus / "manifest.csv"), str(corpus / "registry.csv")
+    sources, commands = {
+        "model": ([model.read_bytes()], [
+            ["evaluate", "--model", x, "--manifest", manifest, "--csv", out],
+            ["predict", "--model", x, str(glyph)],
+        ]),
+        "pgm": ([glyph.read_bytes(), p5], [
+            ["predict", "--model", str(model), x],
+            ["featurize", "--manifest", str(corpus / "one.csv")],
+        ]),
+        "manifest": ([Path(manifest).read_bytes()], [
+            ["featurize", "--manifest", x],
+            ["train", "--manifest", x, "--registry", registry, "--model", out],
+            ["evaluate", "--model", str(model), "--manifest", x],
+        ]),
+        "registry": ([Path(registry).read_bytes()], [
+            ["train", "--manifest", manifest, "--registry", x, "--model", out],
+        ]),
+        "config": ([json.dumps(config).encode()], [
+            ["train", "--manifest", manifest, "--registry", registry, "--model", out,
+             "--config", x],
+            ["featurize", "--manifest", manifest, "--config", x],
+        ]),
+    }[target]
+    rng = random.Random(target)
+    for case in range(100):
+        data = _mutated(rng.choice(sources), rng)
+        Path(x).write_bytes(data)
+        argv = rng.choice(commands)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            pytest.fail(f"case {case}, {argv[0]} on {data!r}: {exc!r}")
+        stdout, stderr = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (case, data)
+        if code:
+            assert stdout == "" and len(stderr.splitlines()) == 1, (case, data, stderr)
+            assert stderr.endswith("\n")
 
 
 # ---------------------------------------------------------------- process entry

@@ -623,6 +623,21 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="gamma"):
             load_model(data)
 
+    def test_raster_side_above_the_bound_rejected(self):
+        assert ModelMeta(n=svm.N_MAX, m=1, seed=0).n == svm.N_MAX
+        data = self._mutate(lambda d: d.update(n=svm.N_MAX + 1))
+        with pytest.raises(ModelFormatError, match=f"n must be at most {svm.N_MAX}, got"):
+            load_model(data)
+
+    @pytest.mark.parametrize(
+        "value", [True, "0.5", None, [0.5]], ids=["true", "string", "null", "list"]
+    )
+    def test_support_component_that_is_not_a_real_rejected(self, value):
+        def poison(doc):
+            doc["pairs"][0]["support"][0]["x"][-1] = value
+        with pytest.raises(ModelFormatError, match="support component must be a real"):
+            load_model(self._mutate(poison))
+
     def test_saved_model_is_one_json_line_and_loads_equal(self):
         pm = trained_pairwise()
         blob = save_model(pm)
