@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 training or numeric
 failure. Every error path prints a single-line diagnostic naming the
 failing subcommand to standard error, and nothing to standard output: a
 command writes its files before it prints.
+
+Importing it loads neither numpy nor the pipeline: each command imports
+what it runs, so `run()` turns the garbage collector off before numpy loads.
 """
 from __future__ import annotations
 
@@ -15,10 +18,6 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
-
-from . import features, imaging, svm  # all predict needs; the rest load where called
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,6 +107,7 @@ def _resolve(args) -> tuple[svm.ModelMeta, svm.KernelParams]:
     n/2, gamma to 1/(2m), c to 10 and seed to 42, also where the subcommand
     has no such flag. `train` replaces an unset gamma with _scale_gamma of
     its train half. A value the model types reject is a usage error."""
+    from . import svm
     n, m, gamma, c, seed, normalize = (
         getattr(args, name, None)
         for name in ("n", "m", "gamma", "c", "seed", "normalize_l2")
@@ -136,6 +136,7 @@ def _scale_gamma(vectors, m: int) -> float:
 
 def _square(gray: imaging.GrayImage, n: int) -> imaging.BinaryImage:
     """One glyph's n-by-n mask: its Otsu cut, cropped to the ink, resized."""
+    from . import imaging
     binary, _ = imaging.binarize_otsu(gray)
     return imaging.resize_to_square(imaging.crop_to_bbox(binary), n)
 
@@ -144,6 +145,8 @@ def _featurize_samples(samples, meta: svm.ModelMeta):
     """The (N, 2m) feature rows and the labels of the samples, in order: each
     glyph's _square, projected _BLOCK masks at a time, bit-identical to
     cmd_predict's extract_features; names the first glyph without ink."""
+    import numpy as np
+    from . import features, imaging
     vectors = np.empty((len(samples), 2 * meta.m))
     for start in range(0, len(samples), _BLOCK):
         block = samples[start : start + _BLOCK]
@@ -189,8 +192,18 @@ def _halves(rows, classes, seed: int):
 
 
 def cmd_synth(args) -> int:
-    from . import dataset
+    from . import dataset, imaging
     meta, _ = _resolve(args)
+    try:
+        params = dataset.SynthParams(
+            flips=args.flips,
+            max_shift=args.max_shift,
+            scale_jitter=args.scale_jitter,
+            count=args.count,
+            seed=meta.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out_dir = Path(args.out)
     if args.templates is not None:
         tpl_dir = Path(args.templates)
@@ -209,16 +222,6 @@ def cmd_synth(args) -> int:
     else:
         templates = dataset.builtin_templates()
 
-    try:
-        params = dataset.SynthParams(
-            flips=args.flips,
-            max_shift=args.max_shift,
-            scale_jitter=args.scale_jitter,
-            count=args.count,
-            seed=meta.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     samples = dataset.synth_generate(templates, params, meta.n)
     manifest = dataset.write_corpus(samples, out_dir)
     if args.templates is None:
@@ -244,7 +247,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import dataset, evaluation
+    from . import dataset, evaluation, svm
     meta, params = _resolve(args)
     all_rows = dataset.read_manifest(args.manifest)
     registry = dataset.load_registry(args.registry)
@@ -267,7 +270,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import dataset, evaluation
+    from . import dataset, evaluation, svm
     pm = svm.load_model(Path(args.model).read_bytes())
     meta = pm.meta
     _, half = _halves(dataset.read_manifest(args.manifest), pm.classes, meta.seed)
@@ -282,6 +285,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import features, imaging, svm
     pm = svm.load_model(Path(args.model).read_bytes())
     meta = pm.meta
     try:
@@ -367,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from . import svm  # its errors' exit codes
     label = "usage"
     try:
         args = build_parser().parse_args(argv)
@@ -390,13 +395,14 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """The console script's and `python -m glyphspect.cli`'s entry: main() on a
-    frozen import-time heap, which no collection walks, then interpreter exit
-    without its module teardown (~4 ms): the atexit handlers, a flush of
-    stdout and stderr, and os._exit. A flush that fails returns main's code
-    instead, so the interpreter's own exit reports it (exit 120 on a full
-    disk). main() does neither: a library caller's heap and exit are its own."""
-    gc.freeze()
+    """The console script's and `python -m glyphspect.cli`'s entry: main()
+    with the garbage collector off, as a command leaves ~310 cyclic objects
+    (its parser) and the process ends at once; then exit without module
+    teardown (~4 ms): the atexit handlers, a flush of stdout and stderr, and
+    os._exit. A flush that fails returns main's code instead, so the
+    interpreter's own exit reports it (exit 120 on a full disk). main() does
+    neither: a library caller's collector and exit are its own."""
+    gc.disable()
     code = main()
     atexit._run_exitfuncs()
     try:

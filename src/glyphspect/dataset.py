@@ -30,6 +30,8 @@ from .imaging import (
 from .svm import ConvergenceError, PairRegistry
 
 __all__ = [
+    "COUNT_MAX",
+    "SHIFT_MAX",
     "GlyphSample",
     "ManifestRow",
     "SynthParams",
@@ -48,6 +50,13 @@ __all__ = [
 ]
 
 _MAX_RETRIES = 100
+# The largest max_shift: each draw's canvas is (h + 2s) x (w + 2s) bools,
+# and with flips as many float64 draws, one Python call each. At 64 a builtin
+# 28-pixel template gives a 156 x 156 canvas: 24 KB, and 195 KB of draws.
+SHIFT_MAX = 64
+# The largest count: synth_generate holds count n-by-n masks per class, at
+# most 66 MB a class at svm.N_MAX (262 MB for the four builtin classes).
+COUNT_MAX = 1000
 
 
 class ManifestError(ValueError):
@@ -83,10 +92,14 @@ class SynthParams(_FrozenValue):
             raise ValueError("flips must lie in [0, 1]")
         if max_shift < 0:
             raise ValueError("max_shift must be nonnegative")
+        if max_shift > SHIFT_MAX:
+            raise ValueError(f"max_shift must be at most {SHIFT_MAX}, got {max_shift}")
         if not 0.0 <= scale_jitter <= 0.5:
             raise ValueError("scale_jitter must lie in [0, 0.5]")
         if count < 1:
             raise ValueError("count must be positive")
+        if count > COUNT_MAX:
+            raise ValueError(f"count must be at most {COUNT_MAX}, got {count}")
         self.__dict__.update(
             flips=flips, max_shift=max_shift, scale_jitter=scale_jitter,
             count=count, seed=seed,

@@ -1014,6 +1014,29 @@ def test_n_above_the_bound_is_usage_error(tmp_path, monkeypatch, capsys, command
     assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json"}
 
 
+@pytest.mark.parametrize(
+    "flag, bound", [("--max-shift", dataset.SHIFT_MAX), ("--count", dataset.COUNT_MAX)]
+)
+def test_synth_knob_above_its_bound_is_usage_error(
+    tmp_path, monkeypatch, capsys, flag, bound
+):
+    monkeypatch.chdir(tmp_path)
+    name = flag[2:].replace("-", "_")
+    assert cli.main(["synth", "--out", "corpus", flag, str(bound + 1)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: synth: {name} must be at most {bound}, got {bound + 1}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_at_the_shift_bound_runs(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    argv = ["synth", "--out", str(out), "--count", "1",
+            "--max-shift", str(dataset.SHIFT_MAX)]
+    assert cli.main(argv) == 0
+    assert len(list(out.glob("*.pgm"))) == len(dataset.builtin_templates())
+
+
 def _raster_above_the_bound(doc):
     doc["n"] = svm.N_MAX + 1
     return f"n must be at most {svm.N_MAX}, got {svm.N_MAX + 1}"
@@ -1139,10 +1162,38 @@ def predict_files(tmp_path_factory):
 
 
 def test_main_leaves_the_heap_unfrozen(predict_files, capsys):
+    """main() leaves the heap unfrozen and the collector on or off, as it
+    found them."""
     model, glyph, _ = predict_files
-    before = gc.get_freeze_count()
-    assert cli.main(["predict", "--model", str(model), str(glyph)]) == 0
-    assert gc.get_freeze_count() == before
+    enabled = gc.isenabled()
+    try:
+        for state in (gc.enable, gc.disable):
+            state()
+            before = gc.get_freeze_count(), gc.isenabled()
+            assert cli.main(["predict", "--model", str(model), str(glyph)]) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == before
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_glyphs(tmp_path, capsys):
+    """run() never turns the collector back on: what one command leaves for
+    it must stay the same however many glyphs the command reads."""
+    small = synth_corpus(tmp_path / "small", count=2)
+    large = synth_corpus(tmp_path / "large", count=20)
+    found = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for corpus in (small, small, large):  # the first run also fills caches
+            gc.collect()
+            assert train(corpus / "manifest.csv", corpus / "registry.csv",
+                         corpus / "model.json") == 0
+            found.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert found[2] <= found[1], found
 
 
 class _Stream:
@@ -1160,7 +1211,8 @@ class _Stream:
 def _entry_calls(monkeypatch, stdout_error=None):
     """cli.main() with every step it takes logged in order, and its result."""
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    # a real call would turn this test process's own collector off
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
     monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
     monkeypatch.setattr(sys, "stdout", _Stream("stdout", calls, stdout_error))
@@ -1172,14 +1224,14 @@ def _entry_calls(monkeypatch, stdout_error=None):
 def test_run_exits_with_mains_code_after_atexit_and_flush(monkeypatch):
     calls, _ = _entry_calls(monkeypatch)
     assert calls == [
-        "freeze", "main", "atexit", "flush stdout", "flush stderr", "_exit 3"
+        "disable", "main", "atexit", "flush stdout", "flush stderr", "_exit 3"
     ]
 
 
 def test_run_returns_mains_code_when_a_flush_fails(monkeypatch):
     calls, code = _entry_calls(monkeypatch, OSError(28, "No space left on device"))
     assert code == 3
-    assert calls == ["freeze", "main", "atexit", "flush stdout"]
+    assert calls == ["disable", "main", "atexit", "flush stdout"]
 
 
 def _without_unbuffered():

@@ -458,3 +458,10 @@ class TestSynthParamsValidation:
             SynthParams(scale_jitter=0.6)
         with pytest.raises(ValueError):
             SynthParams(count=0)
+
+    def test_bounds(self):
+        SynthParams(max_shift=dataset.SHIFT_MAX, count=dataset.COUNT_MAX)
+        with pytest.raises(ValueError, match="max_shift must be at most 64, got 65"):
+            SynthParams(max_shift=dataset.SHIFT_MAX + 1)
+        with pytest.raises(ValueError, match="count must be at most 1000, got 1001"):
+            SynthParams(count=dataset.COUNT_MAX + 1)

@@ -93,6 +93,16 @@ def test_a_submodule_name_loads_only_that_submodule():
     assert "glyphspect.evaluation" not in loaded
 
 
+def test_cli_import_loads_neither_numpy_nor_the_pipeline():
+    """The console script imports `glyphspect.cli` before run() turns the
+    collector off, so that import must leave numpy for the command."""
+    loaded = fresh_interpreter(
+        "import sys, glyphspect.cli; print(sorted(m for m in sys.modules "
+        "if m.startswith('glyphspect') or m.partition('.')[0] == 'numpy'))"
+    )
+    assert loaded == ["glyphspect", "glyphspect.cli"]
+
+
 def test_no_module_imports_dataclasses():
     """The value types share one hand-written base, not `@dataclass`; skip
     where the standard library or numpy loads dataclasses by itself."""
