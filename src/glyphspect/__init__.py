@@ -9,7 +9,9 @@ is the one list of them. Nothing is imported until used (PEP 562): reading
 a module, one of its names, or the root's `__all__` loads what it needs,
 so a process that runs `predict` never loads `dataset` or `evaluation`.
 It also holds `_FrozenValue`, every value type's base, their number rules,
-and `_csv_text`, the one CSV writer.
+`_csv_text`, the one CSV writer, and what `cli.main` shares with the
+pipeline without loading it: `_JSON_TYPES`, the one JSON-type rule of
+config and model files, and `ConvergenceError`, the one exit-3 error.
 """
 import math
 import operator
@@ -42,6 +44,19 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *_SUBMODULES, *__getattr__("__all__")})
 
+
+class ConvergenceError(RuntimeError):
+    """A bounded loop gave no usable result: SMO short of its KKT gap or with
+    no valid solution, or synthesis out of redraws (dataset.SynthesisError)."""
+
+
+# The JSON types a config key or model field of each kind accepts, and the
+# kind's name in messages: a real also takes an integer, and no number
+# takes true or false.
+_JSON_TYPES = {
+    int: ({int}, "an integer"), float: ({int, float}, "a real number"),
+    bool: ({bool}, "a boolean"), str: ({str}, "a string"), list: ({list}, "a list"),
+}
 
 _TEXT = (str, bytes, bytearray)  # float() and numpy parse these; no number is text
 

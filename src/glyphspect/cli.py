@@ -7,6 +7,8 @@ command writes its files before it prints.
 
 Importing it loads neither numpy nor the pipeline: each command imports
 what it runs, so `run()` turns the garbage collector off before numpy loads.
+Parsing and the error mapping load nothing either, so `--help` and a usage
+error never load numpy.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import _JSON_TYPES, ConvergenceError
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -28,8 +32,7 @@ _BLOCK = 256  # glyphs featurized per array block; bounds the masks' memory
 
 # Every setting a flag or the config file may give, with its argparse
 # keywords. Its config key is the flag's name with `_` for `-`, and the
-# key's value must have the JSON type of the flag's value: `float` also
-# takes an integer, and no number takes true or false.
+# key's value must have a JSON type that _JSON_TYPES accepts for the flag's.
 _SETTINGS = {
     "manifest": dict(help="sample manifest CSV (required)"),
     "registry": dict(help="confusable-pair registry CSV (required)"),
@@ -54,9 +57,6 @@ _CONFIG_KEYS = {
     name.replace("-", "_"): bool if kw.get("action") == "store_true"
     else kw.get("type", str)
     for name, kw in _SETTINGS.items()
-}
-_JSON_TYPE_NAMES = {
-    int: "an integer", float: "a number", bool: "true or false", str: "a string"
 }
 # The paths a subcommand cannot run without, in the order they are named
 # when several are missing.
@@ -93,11 +93,9 @@ def _load_config_file(args) -> None:
     for key, value in doc.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-        kind = _CONFIG_KEYS[key]
-        if not (type(value) is kind or (kind is float and type(value) is int)):
-            raise UsageError(
-                f"config key '{key}' must be {_JSON_TYPE_NAMES[kind]}"
-            )
+        types, name = _JSON_TYPES[_CONFIG_KEYS[key]]
+        if type(value) not in types:
+            raise UsageError(f"config key '{key}' must be {name}")
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
 
@@ -371,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from . import svm  # its errors' exit codes
     label = "usage"
     try:
         args = build_parser().parse_args(argv)
@@ -385,7 +382,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except UsageError as exc:
         code, error = EXIT_USAGE, exc
-    except (svm.DegenerateTrainingError, svm.ConvergenceError) as exc:
+    except ConvergenceError as exc:
         code, error = EXIT_TRAINING, exc
     except (ValueError, OSError) as exc:
         # Covers PGM/manifest/registry/model-format errors and missing files.

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _csv_text, _FrozenValue
+from . import ConvergenceError, _csv_text, _FrozenValue
 from .imaging import (
     BinaryImage,
     GrayImage,
@@ -27,7 +27,7 @@ from .imaging import (
     resize_to_square,
     write_pgm,
 )
-from .svm import ConvergenceError, PairRegistry
+from .svm import PairRegistry
 
 __all__ = [
     "COUNT_MAX",

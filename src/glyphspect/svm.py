@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _FrozenValue, _float, _floats, _int
+from . import _JSON_TYPES, ConvergenceError, _FrozenValue, _float, _floats, _int
 
 __all__ = [
     "FORMAT_VERSION",
@@ -61,11 +61,6 @@ _DECISION_BLOCK = 64  # rows per kernel block; bounds the (rows, SVs, dim) array
 
 class DegenerateTrainingError(ValueError):
     """Training data does not define a two-class problem."""
-
-
-class ConvergenceError(RuntimeError):
-    """A bounded loop gave no usable result: SMO short of its KKT gap or with
-    no valid solution, or synthesis out of redraws (dataset.SynthesisError)."""
 
 
 class ModelFormatError(ValueError):
@@ -503,33 +498,20 @@ def save_model(pm: PairwiseModel) -> bytes:
     return (json.dumps(doc, allow_nan=False) + "\n").encode()
 
 
-_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
-
-
 def _field(doc, key: str, kind: type, where: str):
-    """doc[key], which must be present and of exactly the JSON type `kind`."""
+    """doc[key], which must be present and of a JSON type that the root's
+    _JSON_TYPES accepts for `kind`. A real comes back as a float, possibly
+    inf or NaN: JSON 1e400 and Infinity parse to inf, as does an integer
+    past the float range. The model types refuse every non-finite value."""
     if type(doc) is not dict:
         raise ModelFormatError(f"{where} must be a JSON object")
     if key not in doc:
         raise ModelFormatError(f"{where}: missing field '{key}'")
     value = doc[key]
-    if kind is float:
-        return _real(value, f"{where}: field '{key}'")
-    if type(value) is not kind:
-        raise ModelFormatError(f"{where}: field '{key}' must be {_TYPE_NAMES[kind]}")
-    return value
-
-
-_JSON_REALS = {float, int}
-
-
-def _real(value, where: str) -> float:
-    """A JSON number as a float, possibly inf or NaN: JSON 1e400 and Infinity
-    parse to inf, as does an integer past the float range. The model types
-    refuse every non-finite value."""
-    if type(value) not in _JSON_REALS:
-        raise ModelFormatError(f"{where} must be a real number")
-    return _float(value)
+    types, name = _JSON_TYPES[kind]
+    if type(value) not in types:
+        raise ModelFormatError(f"{where}: field '{key}' must be {name}")
+    return _float(value) if kind is float else value
 
 
 def load_model(data: bytes) -> PairwiseModel:
@@ -558,21 +540,20 @@ def load_model(data: bytes) -> PairwiseModel:
     normalize = _field(doc, "normalize", bool, "model")
 
     models = []
+    reals, real = _JSON_TYPES[float]  # the per-row check of support components
     for entry in _field(doc, "pairs", list, "model"):
         pos = _field(entry, "pos_class", str, "pair")
         neg = _field(entry, "neg_class", str, "pair")
         where = f"pair {pos!r}/{neg!r}"  # repr: one line whatever the names hold
         bias = _field(entry, "bias", float, where)
         in_entry = f"{where} support entry"
-        component = f"{where}: support component"
         xs, ys, alphas = [], [], []
         for sv in _field(entry, "support", list, where):
             ys.append(_field(sv, "y", int, in_entry))
             alphas.append(_field(sv, "alpha", float, in_entry))
             x = _field(sv, "x", list, in_entry)
-            if not set(map(type, x)) <= _JSON_REALS:  # one check per row
-                for v in x:
-                    _real(v, component)  # raises on the first that is not
+            if not set(map(type, x)) <= reals:  # one check per row
+                raise ModelFormatError(f"{where}: support component must be {real}")
             xs.append(x)
         try:
             models.append(SvmModel(xs, ys, alphas, bias, gamma, pos, neg, c))

@@ -38,6 +38,10 @@ LOADED = (
     "import sys; print(sorted(m for m in sys.modules "
     "if m.startswith('glyphspect') or m == 'csv'))"
 )
+LOADED_WITH_NUMPY = (
+    "import sys; print(sorted(m for m in sys.modules "
+    "if m.startswith('glyphspect') or m.partition('.')[0] == 'numpy'))"
+)
 
 
 def fresh_interpreter(code: str, *argv: str) -> list:
@@ -68,18 +72,26 @@ def test_dir_lists_every_root_name():
     assert missing == []
 
 
-def test_predict_loads_only_the_modules_it_runs(tmp_path):
-    corpus, model = tmp_path / "corpus", tmp_path / "model.json"
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A model `train` wrote for a 2-per-class corpus, and the corpus's first glyph."""
+    root = tmp_path_factory.mktemp("trained")
+    corpus, model = root / "corpus", root / "model.json"
     assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
     assert cli.main(
         ["train", "--manifest", str(corpus / "manifest.csv"),
          "--registry", str(corpus / "registry.csv"), "--model", str(model)]
     ) == 0
+    return model, sorted(corpus.glob("*.pgm"))[0]
+
+
+def test_predict_loads_only_the_modules_it_runs(trained):
+    model, glyph = trained
     loaded = fresh_interpreter(
         "import sys; from glyphspect.cli import main; "
         "assert main(['predict', '--model', sys.argv[1], sys.argv[2]]) == 0; "
         + LOADED,
-        str(model), str(sorted(corpus.glob("*.pgm"))[0]),
+        str(model), str(glyph),
     )
     assert loaded == [
         "glyphspect", "glyphspect.cli", "glyphspect.features",
@@ -96,9 +108,18 @@ def test_a_submodule_name_loads_only_that_submodule():
 def test_cli_import_loads_neither_numpy_nor_the_pipeline():
     """The console script imports `glyphspect.cli` before run() turns the
     collector off, so that import must leave numpy for the command."""
+    loaded = fresh_interpreter("import glyphspect.cli; " + LOADED_WITH_NUMPY)
+    assert loaded == ["glyphspect", "glyphspect.cli"]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["--help"], 0), (["synth"], 1)], ids=["help", "usage-error"]
+)
+def test_help_and_a_usage_error_load_no_numpy(argv, code):
+    """main parses and maps errors with what the root and `cli` hold."""
     loaded = fresh_interpreter(
-        "import sys, glyphspect.cli; print(sorted(m for m in sys.modules "
-        "if m.startswith('glyphspect') or m.partition('.')[0] == 'numpy'))"
+        f"from glyphspect.cli import main; assert main({argv!r}) == {code}; "
+        + LOADED_WITH_NUMPY
     )
     assert loaded == ["glyphspect", "glyphspect.cli"]
 
@@ -114,13 +135,8 @@ def test_no_module_imports_dataclasses():
     assert fresh_interpreter(every + check) == [False]
 
 
-def test_a_predict_data_error_does_not_load_dataset(tmp_path):
-    corpus, model = tmp_path / "corpus", tmp_path / "model.json"
-    assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
-    assert cli.main(
-        ["train", "--manifest", str(corpus / "manifest.csv"),
-         "--registry", str(corpus / "registry.csv"), "--model", str(model)]
-    ) == 0
+def test_a_predict_data_error_does_not_load_dataset(tmp_path, trained):
+    model, _ = trained
     corrupt = tmp_path / "corrupt.pgm"
     corrupt.write_bytes(b"P2 broken")
     loaded = fresh_interpreter(
@@ -132,22 +148,17 @@ def test_a_predict_data_error_does_not_load_dataset(tmp_path):
     assert "glyphspect.dataset" not in loaded and "csv" not in loaded
 
 
-def test_predict_does_not_load_numpy_fft(tmp_path):
+def test_predict_does_not_load_numpy_fft(trained):
     """The features' DFT is a matrix product; numpy 1.x loads numpy.fft with
     numpy itself, so there is nothing to check."""
     numpy_alone = "import sys, numpy; print(['numpy.fft' in sys.modules])"
     if fresh_interpreter(numpy_alone) == [True]:
         pytest.skip("`import numpy` alone loads numpy.fft")
-    corpus, model = tmp_path / "corpus", tmp_path / "model.json"
-    assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
-    assert cli.main(
-        ["train", "--manifest", str(corpus / "manifest.csv"),
-         "--registry", str(corpus / "registry.csv"), "--model", str(model)]
-    ) == 0
+    model, glyph = trained
     loaded = fresh_interpreter(
         "import sys; from glyphspect.cli import main; "
         "assert main(['predict', '--model', sys.argv[1], sys.argv[2]]) == 0; "
         "print(['numpy.fft' in sys.modules])",
-        str(model), str(sorted(corpus.glob("*.pgm"))[0]),
+        str(model), str(glyph),
     )
     assert loaded == [False]
