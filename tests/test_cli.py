@@ -21,17 +21,21 @@ from glyphspect import cli, dataset, evaluation, features, imaging, svm
 from glyphspect.svm import load_model
 
 
+def train_argv(manifest, registry, model, *flags):
+    return ["train", "--manifest", str(manifest), "--registry", str(registry),
+            "--model", str(model), *flags]
+
+
 def train(manifest, registry, model, *flags):
-    return cli.main(
-        ["train", "--manifest", str(manifest), "--registry", str(registry),
-         "--model", str(model), *flags]
-    )
+    return cli.main(train_argv(manifest, registry, model, *flags))
+
+
+def evaluate_argv(model, manifest, *flags):
+    return ["evaluate", "--model", str(model), "--manifest", str(manifest), *flags]
 
 
 def evaluate(model, manifest, *flags):
-    return cli.main(
-        ["evaluate", "--model", str(model), "--manifest", str(manifest), *flags]
-    )
+    return cli.main(evaluate_argv(model, manifest, *flags))
 
 
 def synth_corpus(tmp_path, count=8, flips=0.01, seed=42):
@@ -54,6 +58,24 @@ def synth_corpus(tmp_path, count=8, flips=0.01, seed=42):
     assert code == 0
     return out
 
+
+def shared_rows(trained):
+    """The shared corpus's manifest rows as (absolute image path, label)."""
+    return [
+        (trained.corpus / row.source_id, row.label)
+        for row in dataset.read_manifest(trained.manifest)
+    ]
+
+
+def write_manifest(path, rows):
+    """`path`, now a manifest of the (image path, label) rows."""
+    lines = [f"{image},{label}\n" for image, label in [("path", "label"), *rows]]
+    path.write_text("".join(lines))
+    return path
+
+
+# An OSError's text for a path that does not exist.
+NO_FILE = "[Errno 2] No such file or directory"
 
 # Each subcommand's exact option strings: the pipeline flags are only those
 # its command reads.
@@ -101,25 +123,22 @@ class TestHelp:
         }
         assert {"--" + name for name in cli._SETTINGS} <= flags
 
-    def test_unknown_flag_is_usage_error(self, capsys):
-        assert cli.main(["train", "--nonsense"]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_unknown_flag_is_usage_error(self, fails):
+        fails(["train", "--nonsense"], 1, "error: usage: unrecognized arguments: --nonsense")
 
     @pytest.mark.parametrize(
-        "argv",
-        [["synth", "--m", "4"], ["synth", "--normalize-l2"],
-         ["featurize", "--manifest", "manifest.csv", "--seed", "1"],
-         ["train", "--sweep", "gamma=1"]],
+        "argv, unread",
+        [(["synth", "--m", "4"], "--m 4"), (["synth", "--normalize-l2"], "--normalize-l2"),
+         (["featurize", "--manifest", "manifest.csv", "--seed", "1"], "--seed 1"),
+         (["train", "--sweep", "gamma=1"], "--sweep gamma=1")],
         ids=["synth-m", "synth-normalize-l2", "featurize-seed", "train-sweep"],
     )
-    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+    def test_flag_the_command_does_not_read_is_usage_error(
+        self, tmp_path, fails, argv, unread
+    ):
         if argv[0] == "synth":
-            argv = [*argv, "--out", str(tmp_path / "corpus")]
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: usage: unrecognized arguments:")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "corpus").exists()
+            argv = [*argv, "--out", tmp_path / "corpus"]
+        fails(argv, 1, f"error: usage: unrecognized arguments: {unread}")
 
 
 class TestSynth:
@@ -132,44 +151,32 @@ class TestSynth:
         stdout = capsys.readouterr().out
         assert "12 samples" in stdout
 
-    def test_missing_template_dir(self, tmp_path, capsys):
-        code = cli.main(
-            ["synth", "--out", str(tmp_path / "o"), "--templates", str(tmp_path / "nope")]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: synth:")
-        assert err.strip().count("\n") == 0
+    def test_missing_template_dir(self, tmp_path, fails):
+        missing = tmp_path / "nope"
+        fails(["synth", "--out", tmp_path / "o", "--templates", missing], 2,
+              f"error: synth: template directory not found: {str(missing)!r}")
 
-    def test_template_dir_without_pgm_files(self, tmp_path, capsys):
+    def test_template_dir_without_pgm_files(self, tmp_path, fails):
         tdir = tmp_path / "templates"
         tdir.mkdir()
         (tdir / "a.txt").write_text("not a template")
-        code = cli.main(["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: synth: no .pgm templates in {str(tdir)!r}\n"
-        )
-        assert not (tmp_path / "o").exists()
+        fails(["synth", "--out", tmp_path / "o", "--templates", tdir], 2,
+              f"error: synth: no .pgm templates in {str(tdir)!r}")
 
     @pytest.mark.parametrize(
         "data, message",
         [(b"P2 2 2 255\n255 255 255 255\n", "empty glyph"),
-         (b"P9\n", "malformed magic number")],
+         (b"P9\n", "malformed magic number b'P9': expected P2 or P5")],
         ids=["blank", "malformed"],
     )
-    def test_bad_template_is_named(self, tmp_path, capsys, data, message):
+    def test_bad_template_is_named(self, tmp_path, fails, data, message):
         tdir = tmp_path / "templates"
         tdir.mkdir()
         (tdir / "a.pgm").write_bytes(b"P2 3 3 255\n0 0 0 0 0 0 0 255 255\n")
         bad = tdir / "b.pgm"
         bad.write_bytes(data)
-        code = cli.main(["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: synth: {str(bad)!r}: {message}")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "o").exists()
+        fails(["synth", "--out", tmp_path / "o", "--templates", tdir], 2,
+              f"error: synth: {str(bad)!r}: {message}")
 
     def test_custom_template_dir(self, tmp_path):
         tdir = tmp_path / "templates"
@@ -182,37 +189,33 @@ class TestSynth:
         ) == 0
         assert len(list(out.glob("blob_*.pgm"))) == 2
 
-    def test_synthesis_failure_exits_3(self, tmp_path, capsys):
+    def test_synthesis_failure_exits_3(self, tmp_path, fails):
         tdir = tmp_path / "templates"
         tdir.mkdir()
         # single ink pixel; flips=1.0 erases it on every draw
         (tdir / "dot.pgm").write_bytes(b"P2 2 1 255\n0 255\n")
-        code = cli.main(
-            ["synth", "--out", str(tmp_path / "o"), "--templates", str(tdir),
-             "--count", "1", "--flips", "1.0", "--max-shift", "0"]
+        fails(
+            ["synth", "--out", tmp_path / "o", "--templates", tdir, "--count", "1",
+             "--flips", "1.0", "--max-shift", "0"],
+            3, "error: synth: class 'dot': no ink left after noise and the 32x32 resize "
+            "in 100 consecutive draws",
         )
-        assert code == 3
-        assert "error: synth:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--count", "0"], ["--flips", "2"], ["--max-shift", "-1"],
-         ["--scale-jitter", "0.9"]],
+        "flags, message",
+        [(["--count", "0"], "count must be positive"),
+         (["--flips", "2"], "flips must lie in [0, 1]"),
+         (["--max-shift", "-1"], "max_shift must be nonnegative"),
+         (["--scale-jitter", "0.9"], "scale_jitter must lie in [0, 0.5]")],
         ids=["count", "flips", "max-shift", "scale-jitter"],
     )
-    def test_out_of_range_perturbation_is_usage_error(self, tmp_path, capsys, flags):
-        code = cli.main(["synth", "--out", str(tmp_path / "o"), *flags])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: synth:") and err.count("\n") == 1
-        assert not (tmp_path / "o").exists()
+    def test_out_of_range_perturbation_is_usage_error(self, tmp_path, fails, flags, message):
+        fails(["synth", "--out", tmp_path / "o", *flags], 1, f"error: synth: {message}")
 
 
 class TestFeaturize:
-    def test_line_format(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
-        assert cli.main(["featurize", "--manifest", str(out / "manifest.csv")]) == 0
+    def test_line_format(self, trained, capsys):
+        assert cli.main(["featurize", "--manifest", str(trained.manifest)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 8
         first = lines[0].split(",")
@@ -220,10 +223,9 @@ class TestFeaturize:
         assert len(first) == 1 + 32  # label + 2m values at defaults
         float(first[1])
 
-    def test_out_file_and_m_flag(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
+    def test_out_file_and_m_flag(self, trained, tmp_path, capsys):
         dest = tmp_path / "features.csv"
-        argv = ["featurize", "--manifest", str(out / "manifest.csv"), "--m", "4"]
+        argv = ["featurize", "--manifest", str(trained.manifest), "--m", "4"]
         assert cli.main([*argv, "--out", str(dest)]) == 0
         lines = dest.read_text().strip().splitlines()
         assert all(len(line.split(",")) == 9 for line in lines)
@@ -232,14 +234,13 @@ class TestFeaturize:
         # the file holds the bytes stdout gets: no line end is translated
         assert dest.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
-    def test_every_label_reads_back_with_its_features(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        glyph = (out / "manifest.csv").read_text().splitlines()[1].split(",")[0]
+    def test_every_label_reads_back_with_its_features(self, trained, tmp_path, capsys):
         labels = ["plain", "a,b", '"q"', "x\ny", "a\rb"]
-        manifest = out / "labels.csv"
+        manifest = tmp_path / "labels.csv"
         with manifest.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([["path", "label"], *([glyph, x] for x in labels)])
-        capsys.readouterr()
+            csv.writer(fh).writerows(
+                [["path", "label"], *([trained.glyph, x] for x in labels)]
+            )
         assert cli.main(["featurize", "--manifest", str(manifest), "--m", "4"]) == 0
         text = capsys.readouterr().out
         meta = svm.ModelMeta(n=32, m=4, seed=42, normalize=False)
@@ -253,27 +254,22 @@ class TestFeaturize:
 
     @pytest.mark.parametrize("first", ["blank-small.pgm", "blank-big.pgm"])
     def test_blank_glyphs_name_the_first_in_manifest_order(
-        self, tmp_path, capsys, first
+        self, trained, tmp_path, fails, first
     ):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
         # Glyphs are featurized in manifest order, so the first blank row is
         # named, whatever its shape; a raster of zeros only is as blank as
         # any other uniform one.
-        (out / "blank-small.pgm").write_bytes(b"P2 4 4 255\n" + b"0 " * 16)
-        (out / "blank-big.pgm").write_bytes(b"P5 32 32 255\n" + b"\xc8" * 1024)
-        blanks = ["blank-small.pgm,ring", "blank-big.pgm,cup"]
+        (tmp_path / "blank-small.pgm").write_bytes(b"P2 4 4 255\n" + b"0 " * 16)
+        (tmp_path / "blank-big.pgm").write_bytes(b"P5 32 32 255\n" + b"\xc8" * 1024)
+        blanks = [("blank-small.pgm", "ring"), ("blank-big.pgm", "cup")]
         if first == "blank-big.pgm":
             blanks.reverse()
-        rows = (out / "manifest.csv").read_text().splitlines()
-        rows[2:2] = blanks
-        rows[3], rows[5] = rows[5], rows[3]  # a glyph between the two blanks
-        (out / "manifest.csv").write_text("\n".join(rows) + "\n")
-        code = cli.main(["featurize", "--manifest", str(out / "manifest.csv")])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: featurize: {first!r}: empty glyph\n"
-        assert captured.out == ""
+        rows = shared_rows(trained)
+        rows[1:1] = blanks
+        rows[2], rows[4] = rows[4], rows[2]  # a glyph between the two blanks
+        manifest = write_manifest(tmp_path / "manifest.csv", rows)
+        fails(["featurize", "--manifest", manifest], 2,
+              f"error: featurize: {first!r}: empty glyph")
 
 
 class TestTrainEvaluatePredict:
@@ -332,31 +328,36 @@ class TestTrainEvaluatePredict:
         assert "decision ring/ring-gap:" in pred
         assert "decision cup/cup-bar:" in pred
 
-    def test_solver_iteration_bound_exits_3(self, tmp_path, capsys, monkeypatch):
-        out = synth_corpus(tmp_path, count=3)
-        monkeypatch.setattr(svm, "_ITERATIONS_PER_SAMPLE", 0)
-        code = train(out / "manifest.csv", out / "registry.csv", tmp_path / "m.json")
-        assert code == 3
-        assert "error: train:" in capsys.readouterr().err
-        assert not (tmp_path / "m.json").exists()
+    def test_solver_iteration_bound_exits_3(self, trained, tmp_path, monkeypatch, fails):
+        monkeypatch.setattr(svm, "_ITERATIONS_PER_SAMPLE", 0)  # no SMO step allowed
+        fails(train_argv(trained.manifest, trained.registry, tmp_path / "m.json"), 3,
+              "error: train: KKT gap still above 0.001 after 0 SMO steps")
 
-    def test_small_class_names_class(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=3)
-        manifest = out / "manifest.csv"
-        rows = manifest.read_text().splitlines()
-        # keep only one 'ring' row, everything else intact
-        ring_rows = [r for r in rows[1:] if r.endswith(",ring")]
-        others = [r for r in rows[1:] if not r.endswith(",ring")]
-        manifest.write_text("\n".join([rows[0]] + ring_rows[:1] + others) + "\n")
-        assert train(manifest, out / "registry.csv", tmp_path / "m.json") == 2
-        assert "'ring'" in capsys.readouterr().err
+    def test_small_class_names_class(self, trained, tmp_path, fails):
+        # one 'ring' row, every other class intact
+        rings = [row for row in shared_rows(trained) if row[1] == "ring"]
+        others = [row for row in shared_rows(trained) if row[1] != "ring"]
+        manifest = write_manifest(tmp_path / "one-ring.csv", rings[:1] + others)
+        fails(train_argv(manifest, trained.registry, tmp_path / "m.json"), 2,
+              "error: train: class 'ring' has only 1 sample(s); need at least 2 to split")
 
-    def test_registry_class_absent_from_manifest(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
+    def test_registry_class_absent_from_manifest(self, trained, tmp_path, fails):
         registry = tmp_path / "registry.csv"
         registry.write_text("correct_class,error_class\nring,ghost\n")
-        assert train(out / "manifest.csv", registry, tmp_path / "m.json") == 2
-        assert "'ghost'" in capsys.readouterr().err
+        fails(train_argv(trained.manifest, registry, tmp_path / "m.json"), 2,
+              "error: train: class 'ghost' has 0 sample(s) in the manifest")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("a\n", "registry row 2: expected 'correct_class,error_class'"),
+         ("a,a\n", "registry: pair 'a'/'a': classes must differ")],
+        ids=["one-field", "self-pair"],
+    )
+    def test_malformed_registry_is_data_error(self, trained, tmp_path, fails, body, message):
+        registry = tmp_path / "registry.csv"
+        registry.write_text("correct_class,error_class\n" + body)
+        fails(train_argv(trained.manifest, registry, tmp_path / "m.json"), 2,
+              f"error: train: {message}")
 
     def test_default_gamma_fits_raw_features(self, tmp_path):
         # raw ink counts, no --gamma: 1/(2m) would score each pair near 50%
@@ -383,14 +384,10 @@ class TestTrainEvaluatePredict:
         assert var > 0
         assert pm.models[0].gamma == 1.0 / (2 * pm.meta.m * var)
 
-    def test_zero_variance_gamma_falls_back_to_one_over_2m(self, tmp_path):
-        out = synth_corpus(tmp_path, count=2)
-        glyph = (out / "manifest.csv").read_text().splitlines()[1].split(",")[0]
-        manifest = out / "one-glyph.csv"
-        manifest.write_text(
-            "path,label\n" + f"{glyph},ring\n{glyph},ring-gap\n" * 2
-        )
-        registry = out / "ring.csv"
+    def test_zero_variance_gamma_falls_back_to_one_over_2m(self, trained, tmp_path):
+        rows = [(trained.glyph, "ring"), (trained.glyph, "ring-gap")] * 2
+        manifest = write_manifest(tmp_path / "one-glyph.csv", rows)
+        registry = tmp_path / "ring.csv"
         registry.write_text("correct_class,error_class\nring,ring-gap\n")
         models = []
         for extra in ([], ["--gamma", "0.5"]):
@@ -402,8 +399,7 @@ class TestTrainEvaluatePredict:
         assert load_model(models[0]).models[0].gamma == 0.5
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_explicit_gamma_is_stored_exactly(self, tmp_path, source):
-        out = synth_corpus(tmp_path, count=2)
+    def test_explicit_gamma_is_stored_exactly(self, trained, tmp_path, source):
         if source == "flag":
             extra = ["--gamma", "0.3"]
         else:
@@ -411,61 +407,33 @@ class TestTrainEvaluatePredict:
             cfg.write_text(json.dumps({"gamma": 0.3}))
             extra = ["--config", str(cfg)]
         model = tmp_path / "m.json"
-        assert train(out / "manifest.csv", out / "registry.csv", model, *extra) == 0
+        assert train(trained.manifest, trained.registry, model, *extra) == 0
         assert load_model(model.read_bytes()).models[0].gamma == 0.3
 
-    def test_evaluate_refuses_manifest_missing_a_model_class(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=4)
-        model = tmp_path / "m.json"
-        assert train(out / "manifest.csv", out / "registry.csv", model, "--gamma", "2") == 0
-        rows = (out / "manifest.csv").read_text().splitlines()
-        manifest = out / "no-cup.csv"
-        manifest.write_text(
-            "\n".join(r for r in rows if not r.endswith(",cup")) + "\n"
-        )
-        capsys.readouterr()
-        assert evaluate(model, manifest) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "'cup'" in captured.err
+    def test_evaluate_refuses_manifest_missing_a_model_class(self, trained, tmp_path, fails):
+        rows = [row for row in shared_rows(trained) if row[1] != "cup"]
+        manifest = write_manifest(tmp_path / "no-cup.csv", rows)
+        fails(evaluate_argv(trained.model, manifest), 2,
+              "error: evaluate: class 'cup' has 0 sample(s) in the manifest")
 
-    def test_single_sample_class_is_refused_by_the_split(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=4)
-        model = tmp_path / "m.json"
-        assert train(out / "manifest.csv", out / "registry.csv", model, "--gamma", "2") == 0
-        rows = (out / "manifest.csv").read_text().splitlines()
-        cups = [r for r in rows if r.endswith(",cup")]
-        manifest = out / "one-cup.csv"
-        manifest.write_text(
-            "\n".join([r for r in rows if not r.endswith(",cup")] + cups[:1]) + "\n"
-        )
-        capsys.readouterr()
-        for command, argv in (
-            (train, (manifest, out / "registry.csv", tmp_path / "m2.json")),
-            (evaluate, (model, manifest)),
-        ):
-            assert command(*argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.count("\n") == 1
-            assert "class 'cup' has only 1 sample(s)" in captured.err
-        assert not (tmp_path / "m2.json").exists()
+    def test_single_sample_class_is_refused_by_the_split(self, trained, tmp_path, fails):
+        cups = [row for row in shared_rows(trained) if row[1] == "cup"]
+        others = [row for row in shared_rows(trained) if row[1] != "cup"]
+        manifest = write_manifest(tmp_path / "one-cup.csv", others + cups[:1])
+        for argv in (train_argv(manifest, trained.registry, tmp_path / "m2.json"),
+                     evaluate_argv(trained.model, manifest)):
+            fails(argv, 2, f"error: {argv[0]}: class 'cup' has only 1 sample(s); "
+                  "need at least 2 to split")
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
-    def test_an_unwritable_file_leaves_stdout_empty(
-        self, predict_files, tmp_path, capsys, command
-    ):
+    def test_an_unwritable_file_leaves_stdout_empty(self, trained, tmp_path, fails, command):
         # each command writes its file before it prints a result
-        model, glyph, _ = predict_files
-        manifest, missing = glyph.parent / "manifest.csv", tmp_path / "nodir" / "out"
-        if command == "train":
-            code = train(manifest, glyph.parent / "registry.csv", missing)
-        else:
-            code = evaluate(model, manifest, "--csv", str(missing))
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith(f"error: {command}: ")
+        missing = tmp_path / "nodir" / "out"
+        argv = {
+            "train": train_argv(trained.manifest, trained.registry, missing),
+            "evaluate": evaluate_argv(trained.model, trained.manifest, "--csv", missing),
+        }[command]
+        fails(argv, 2, f"error: {command}: {NO_FILE}: {str(missing)!r}")
 
     def test_train_names_first_blank_glyph_of_the_train_half(self, tmp_path, capsys):
         out = synth_corpus(tmp_path, count=4)
@@ -528,140 +496,104 @@ class TestTrainEvaluatePredict:
         # the file holds report_csv's text byte for byte: no line end is translated
         assert csv_path.read_bytes() == evaluation.report_csv(scored).encode("utf-8")
 
-    def test_non_finite_kernel_value_is_usage_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
+    def test_non_finite_kernel_value_is_usage_error(self, trained, tmp_path, fails):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma": float("nan")}))  # writes the NaN literal
-        model = tmp_path / "m.json"
-        flags = ("--config", str(cfg))
-        assert train(out / "manifest.csv", out / "registry.csv", model, *flags) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: train:") and err.count("\n") == 1
-        assert "must be positive and finite" in err
-        assert not model.exists()
+        argv = train_argv(trained.manifest, trained.registry, tmp_path / "m.json")
+        fails([*argv, "--config", cfg], 1, "error: train: gamma must be positive and finite")
 
-    def test_predict_empty_glyph(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path)
-        model = tmp_path / "model.json"
-        flags = ("--gamma", "2", "--normalize-l2")
-        train(out / "manifest.csv", out / "registry.csv", model, *flags)
-        capsys.readouterr()
+    def test_predict_empty_glyph(self, trained, tmp_path, fails):
         blank = tmp_path / "blank.pgm"
         blank.write_bytes(b"P2 4 4 255\n" + b"255 " * 16 + b"\n")
-        code = cli.main(["predict", "--model", str(model), str(blank)])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: predict: {str(blank)!r}: empty glyph\n"
+        fails(["predict", "--model", trained.model, blank], 2,
+              f"error: predict: {str(blank)!r}: empty glyph")
 
-    def test_predict_names_a_malformed_image(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        model = tmp_path / "model.json"
-        train(out / "manifest.csv", out / "registry.csv", model)
-        capsys.readouterr()
+    def test_predict_names_a_malformed_image(self, trained, tmp_path, fails):
         cut = tmp_path / "cut\nshort.pgm"  # the quoted path keeps one line
         cut.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
-        code = cli.main(["predict", "--model", str(model), str(cut)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: predict: {str(cut)!r}: "
-            "truncated pixel data: expected 16 bytes, found 10\n"
-        )
+        fails(["predict", "--model", trained.model, cut], 2,
+              f"error: predict: {str(cut)!r}: truncated pixel data: expected 16 bytes, found 10")
 
-    def test_corrupt_model_is_data_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
+    def test_corrupt_model_is_data_error(self, trained, tmp_path, fails):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        assert evaluate(bad, out / "manifest.csv") == 2
+        fails(evaluate_argv(bad, trained.manifest), 2,
+              "error: evaluate: model: missing field 'format_version'")
 
-    @pytest.mark.parametrize("flags", [["--m", "0"], ["--n", "0"], ["--gamma", "0"],
-                                       ["--c", "-1"], ["--gamma", "nan"],
-                                       ["--gamma", "inf"], ["--c", "inf"]])
-    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
-        code = train(tmp_path / "none.csv", tmp_path / "r.csv", tmp_path / "m", *flags)
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: train:")
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--m", "0"], "m must satisfy 1 <= m <= 32, got 0"),
+         (["--n", "0"], "n must be positive"),
+         (["--gamma", "0"], "gamma must be positive and finite"),
+         (["--c", "-1"], "c must be positive and finite"),
+         (["--gamma", "nan"], "gamma must be positive and finite"),
+         (["--gamma", "inf"], "gamma must be positive and finite"),
+         (["--c", "inf"], "c must be positive and finite")],
+        ids=[f"flags{i}" for i in range(7)],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, fails, flags, message):
+        argv = train_argv(tmp_path / "none.csv", tmp_path / "r.csv", tmp_path / "m", *flags)
+        fails(argv, 1, f"error: train: {message}")
 
-    def test_unparseable_model_is_one_line_data_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
+    def test_unparseable_model_is_one_line_data_error(self, trained, tmp_path, fails):
         deep = tmp_path / "deep.json"
         deep.write_bytes(b"[" * 100000)
-        assert evaluate(deep, out / "manifest.csv") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: evaluate:") and err.count("\n") == 1
+        fails(evaluate_argv(deep, trained.manifest), 2,
+              "error: evaluate: invalid model file: ", prefix=True)
 
-    def test_newline_in_model_class_is_one_line_data_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        model = tmp_path / "model.json"
-        train(out / "manifest.csv", out / "registry.csv", model)
-        capsys.readouterr()
-        doc = json.loads(model.read_text())
+    def test_newline_in_model_class_is_one_line_data_error(self, trained, tmp_path, fails):
+        doc = json.loads(trained.model.read_text())
         entry = doc["pairs"][0]
         entry["pos_class"], entry["bias"] = "ring\nevil", "x"
+        model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
-        assert evaluate(model, out / "manifest.csv") == 2
-        assert capsys.readouterr().err == (
-            f"error: evaluate: pair 'ring\\nevil'/{entry['neg_class']!r}: "
-            "field 'bias' must be a real number\n"
-        )
+        fails(evaluate_argv(model, trained.manifest), 2,
+              f"error: evaluate: pair 'ring\\nevil'/{entry['neg_class']!r}: "
+              "field 'bias' must be a real number")
 
-    def test_oversized_manifest_cell_is_one_line_data_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
+    def test_oversized_manifest_cell_is_one_line_data_error(self, trained, tmp_path, fails):
         manifest = tmp_path / "big.csv"
         manifest.write_bytes(b"path,label\n" + b"a" * 131073 + b",ring\n")
-        assert train(manifest, out / "registry.csv", tmp_path / "m") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: train:") and err.count("\n") == 1
+        fails(train_argv(manifest, trained.registry, tmp_path / "m"), 2,
+              f"error: train: manifest {str(manifest)!r}: ", prefix=True)
 
-    def test_newline_in_manifest_cell_is_one_line_data_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
-        manifest = out / "manifest.csv"
+    def test_newline_in_manifest_cell_is_one_line_data_error(self, trained, tmp_path, fails):
         # every ring row names a missing file; train decodes its train-half one
-        rows = manifest.read_text().splitlines()
-        rows = ['"a\nb",ring' if r.endswith(",ring") else r for r in rows]
-        manifest.write_text("\n".join(rows) + "\n")
+        rows = [("\"a\nb\"", label) if label == "ring" else (image, label)
+                for image, label in shared_rows(trained)]
+        manifest = write_manifest(tmp_path / "m.csv", rows)
         train_half, _ = dataset.split_even(dataset.read_manifest(manifest), 42)
         line_no = next(row.line_no for row in train_half if row.label == "ring")
-        assert train(manifest, out / "registry.csv", tmp_path / "m") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: train: manifest row {line_no}: 'a\\nb'")
-        assert err.count("\n") == 1
+        missing = tmp_path / "a\nb"
+        fails(train_argv(manifest, trained.registry, tmp_path / "m"), 2,
+              f"error: train: manifest row {line_no}: 'a\\nb': {NO_FILE}: {str(missing)!r}")
 
-    def test_newline_in_registry_cell_is_one_line_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
+    def test_newline_in_registry_cell_is_one_line_error(self, trained, tmp_path, fails):
         registry = tmp_path / "nl.csv"
         registry.write_bytes(b'correct_class,error_class\n"ri\nng",cup\n')
-        assert train(out / "manifest.csv", registry, tmp_path / "m") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: train: class 'ri\\nng' has 0 sample(s)")
-        assert err.count("\n") == 1
+        fails(train_argv(trained.manifest, registry, tmp_path / "m"), 2,
+              "error: train: class 'ri\\nng' has 0 sample(s) in the manifest")
 
     @pytest.mark.parametrize(
         "flag, code",
         [("--manifest", 2), ("--registry", 2), ("--templates", 2), ("--config", 1)],
     )
-    def test_newline_in_path_is_one_line_error(self, tmp_path, capsys, flag, code):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
+    def test_newline_in_path_is_one_line_error(self, trained, tmp_path, fails, flag, code):
         bad = str(tmp_path / "no\nsuch")
-        manifest = str(out / "manifest.csv")
-        argv = {
-            "--manifest": ["featurize", "--manifest", bad],
-            "--registry": ["train", "--manifest", manifest, "--registry", bad,
-                           "--model", str(tmp_path / "m")],
-            "--templates": ["synth", "--out", str(tmp_path / "o"), "--templates", bad],
-            "--config": ["featurize", "--manifest", manifest, "--config", bad],
+        argv, what = {
+            "--manifest": (["featurize", "--manifest", bad], "manifest"),
+            "--registry": (train_argv(trained.manifest, bad, tmp_path / "m"), "registry"),
+            "--templates": (["synth", "--out", tmp_path / "o", "--templates", bad],
+                            "template directory"),
+            "--config": (["featurize", "--manifest", trained.manifest, "--config", bad],
+                         "config file"),
         }[flag]
-        assert cli.main(argv) == code
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {argv[0]}:") and err.count("\n") == 1
-        assert repr(bad) in err
+        fails(argv, code, f"error: {argv[0]}: {what} not found: {bad!r}")
 
-    def test_missing_manifest_is_data_error(self, tmp_path, capsys):
-        assert train(tmp_path / "none.csv", tmp_path / "r.csv", tmp_path / "m") == 2
+    def test_missing_manifest_is_data_error(self, tmp_path, fails):
+        missing = tmp_path / "none.csv"
+        fails(train_argv(missing, tmp_path / "r.csv", tmp_path / "m"), 2,
+              f"error: train: manifest not found: {str(missing)!r}")
 
 
 class TestDecodeOnlyTheHalfUsed:
@@ -735,13 +667,11 @@ class TestDecodeOnlyTheHalfUsed:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
+    def test_config_supplies_defaults_flags_win(self, trained, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 4, "n": 16}))
         assert cli.main(
-            ["featurize", "--manifest", str(out / "manifest.csv"),
+            ["featurize", "--manifest", str(trained.manifest),
              "--config", str(cfg), "--m", "2"]
         ) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -769,17 +699,14 @@ class TestConfigFile:
         assert shared == flags
         assert len(shared[1].splitlines()[0].split(",")) == 9
 
-    def test_config_can_supply_paths(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
+    def test_config_can_supply_paths(self, trained, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"manifest": str(out / "manifest.csv"), "m": 2}))
+        cfg.write_text(json.dumps({"manifest": str(trained.manifest), "m": 2}))
         assert cli.main(["featurize", "--config", str(cfg)]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 8
 
-    def test_missing_required_path_is_usage_error(self, capsys):
-        assert cli.main(["featurize"]) == 1
-        assert "--manifest" in capsys.readouterr().err
+    def test_missing_required_path_is_usage_error(self, fails):
+        fails(["featurize"], 1, "error: featurize: --manifest is required (flag or config file)")
 
     def test_config_keys_follow_the_flags(self):
         assert cli._CONFIG_KEYS == {
@@ -830,29 +757,24 @@ class TestConfigFile:
         "argv, missing",
         [(["evaluate", "--model", "{tmp}/bad.json"], "--manifest"),
          (["train", "--manifest", "{tmp}/none.csv", "--model", "{tmp}/m.json"],
-          "--registry")],
-        ids=["evaluate-manifest", "train-registry"],
+          "--registry"),
+         (["predict", "{tmp}/none.pgm"], "--model")],
+        ids=["evaluate-manifest", "train-registry", "predict-model"],
     )
     def test_missing_path_is_checked_before_any_file_is_read(
-        self, tmp_path, capsys, argv, missing
+        self, tmp_path, fails, argv, missing
     ):
-        # evaluate's model file and train's manifest are both bad: the missing
-        # path is reported first, as a usage error
+        # evaluate's model file, train's manifest and predict's image are all
+        # bad: the missing path is reported first, as a usage error
         (tmp_path / "bad.json").write_text("{}")
-        code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {argv[0]}: {missing} is required (flag or config file)\n"
-        assert not (tmp_path / "m.json").exists()
+        fails([arg.format(tmp=tmp_path) for arg in argv], 1,
+              f"error: {argv[0]}: {missing} is required (flag or config file)")
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
+    def test_unknown_config_key(self, trained, tmp_path, fails):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
-        code = cli.main(
-            ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
-        )
-        assert code == 1
+        fails(["featurize", "--manifest", trained.manifest, "--config", cfg], 1,
+              "error: featurize: unknown config key 'bogus'")
 
     # the kinds' names are the model loader's (test_svm pins those)
     @pytest.mark.parametrize(
@@ -866,54 +788,34 @@ class TestConfigFile:
              "string-for-real"],
     )
     def test_config_value_of_wrong_kind_is_usage_error(
-        self, tmp_path, capsys, doc, message
+        self, trained, tmp_path, fails, doc, message
     ):
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        code = cli.main(
-            ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
-        )
-        assert code == 1
-        assert capsys.readouterr() == ("", f"error: featurize: {message}\n")
+        fails(["featurize", "--manifest", trained.manifest, "--config", cfg], 1,
+              f"error: featurize: {message}")
 
     @pytest.mark.parametrize(
         "data", [b"\xff", b"[" * 100000, b"1" * 5000],
         ids=["not-utf8", "deep-nesting", "5000-digit-integer"],
     )
-    def test_config_not_valid_json_is_usage_error(self, tmp_path, capsys, data):
+    def test_config_not_valid_json_is_usage_error(self, trained, tmp_path, fails, data):
         # json.loads refuses the last two with RecursionError and a ValueError
         # that is not a JSONDecodeError, as in test_svm's
         # test_unparseable_json_rejected
-        out = synth_corpus(tmp_path, count=2)
-        capsys.readouterr()
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(data)
-        code = cli.main(
-            ["featurize", "--manifest", str(out / "manifest.csv"), "--config", str(cfg)]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: featurize: config file is not valid JSON:")
-        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-        assert captured.out == ""
+        fails(["featurize", "--manifest", trained.manifest, "--config", cfg], 1,
+              "error: featurize: config file is not valid JSON: ", prefix=True)
 
-    def test_invalid_m_is_usage_error(self, tmp_path, capsys):
-        out = synth_corpus(tmp_path, count=2)
-        code = cli.main(
-            ["featurize", "--manifest", str(out / "manifest.csv"), "--m", "64"]
-        )
-        assert code == 1
-        assert "m must" in capsys.readouterr().err
+    def test_invalid_m_is_usage_error(self, trained, fails):
+        fails(["featurize", "--manifest", trained.manifest, "--m", "64"], 1,
+              "error: featurize: m must satisfy 1 <= m <= 32, got 64")
 
 
 @pytest.fixture(scope="module")
 def config_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("config")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["synth", "--out", str(root / "corpus"), "--count", "1"]) == 0
-    return root
+    return tmp_path_factory.mktemp("config")
 
 
 # The JSON types a config key of each kind accepts: a float key also takes
@@ -941,7 +843,7 @@ def _wrong_kind(key):
 
 # Never a valid document: a valid {"n": 100000} would have featurize build
 # 100000x100000 masks per glyph.
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(
     data=st.one_of(
         st.binary(max_size=64).filter(lambda b: not _is_object(b)),
@@ -955,14 +857,13 @@ def _wrong_kind(key):
 )
 @example(data=b"[" * 100000)
 @example(data=b"1" * 5000)
-def test_config_reader_raises_only_usage_errors(config_dir, data):
+def test_config_reader_raises_only_usage_errors(trained, config_dir, data):
     path = config_dir / "fuzz.json"
     path.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(
-            ["featurize", "--manifest", str(config_dir / "corpus" / "manifest.csv"),
-             "--config", str(path)]
+            ["featurize", "--manifest", str(trained.manifest), "--config", str(path)]
         )
     assert code == 1
     lines = err.getvalue().splitlines(keepends=True)
@@ -999,6 +900,22 @@ def test_unexpected_error_propagates(monkeypatch):
         cli.main(["featurize", "--manifest", "manifest.csv"])
 
 
+@pytest.mark.parametrize("case", ["image", "model", "featurize-out", "synth-out"])
+def test_unreadable_path_is_one_line_data_error(trained, tmp_path, fails, case):
+    """The line names the path the OS refused."""
+    missing, existing = tmp_path / "none" / "x", tmp_path / "file"
+    existing.write_text("x")
+    argv, reason, path = {
+        "image": (["predict", "--model", trained.model, missing], NO_FILE, missing),
+        "model": (["predict", "--model", missing, trained.glyph], NO_FILE, missing),
+        "featurize-out": (["featurize", "--manifest", trained.manifest, "--out", missing],
+                          NO_FILE, missing),
+        "synth-out": (["synth", "--out", existing, "--count", "1"],
+                      "[Errno 17] File exists", existing),
+    }[case]
+    fails(argv, 2, f"error: {argv[0]}: {reason}: {str(path)!r}")
+
+
 # No path exists: the bound is checked before any file is read or written,
 # and so before any n-by-n raster is allocated.
 _PATHS_OF = {
@@ -1010,33 +927,27 @@ _PATHS_OF = {
 
 @pytest.mark.parametrize("route", ["flag", "config"])
 @pytest.mark.parametrize("command", list(_PATHS_OF))
-def test_n_above_the_bound_is_usage_error(tmp_path, monkeypatch, capsys, command, route):
+def test_n_above_the_bound_is_usage_error(tmp_path, monkeypatch, fails, command, route):
     monkeypatch.chdir(tmp_path)
     n = svm.N_MAX + 1
     flags = ["--n", str(n)]
     if route == "config":
         Path("cfg.json").write_text(json.dumps({"n": n}))
         flags = ["--config", "cfg.json"]
-    assert cli.main([command, *_PATHS_OF[command], *flags]) == 1
-    assert capsys.readouterr() == (
-        "", f"error: {command}: n must be at most {svm.N_MAX}, got {n}\n"
-    )
-    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json"}
+    fails([command, *_PATHS_OF[command], *flags], 1,
+          f"error: {command}: n must be at most {svm.N_MAX}, got {n}")
 
 
 @pytest.mark.parametrize(
     "flag, bound", [("--max-shift", dataset.SHIFT_MAX), ("--count", dataset.COUNT_MAX)]
 )
 def test_synth_knob_above_its_bound_is_usage_error(
-    tmp_path, monkeypatch, capsys, flag, bound
+    tmp_path, monkeypatch, fails, flag, bound
 ):
     monkeypatch.chdir(tmp_path)
     name = flag[2:].replace("-", "_")
-    assert cli.main(["synth", "--out", "corpus", flag, str(bound + 1)]) == 1
-    assert capsys.readouterr() == (
-        "", f"error: synth: {name} must be at most {bound}, got {bound + 1}\n"
-    )
-    assert list(tmp_path.iterdir()) == []
+    fails(["synth", "--out", "corpus", flag, str(bound + 1)], 1,
+          f"error: synth: {name} must be at most {bound}, got {bound + 1}")
 
 
 def test_synth_at_the_shift_bound_runs(tmp_path, capsys):
@@ -1066,18 +977,16 @@ def _string_support_component(doc):
                         ("evaluate", _string_support_component)],
 )
 def test_model_that_load_model_refuses_is_data_error(
-    predict_files, tmp_path, capsys, command, poison
+    trained, tmp_path, fails, command, poison
 ):
-    model, glyph, _ = predict_files
-    doc = json.loads(model.read_bytes())
+    doc = json.loads(trained.model.read_bytes())
     message = poison(doc)
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(doc))
-    operand = ["--manifest", str(glyph.parent / "manifest.csv")]
+    operand = ["--manifest", trained.manifest]
     if command == "predict":
-        operand = [str(glyph)]
-    assert cli.main([command, "--model", str(bad), *operand]) == 2
-    assert capsys.readouterr() == ("", f"error: {command}: {message}\n")
+        operand = [trained.glyph]
+    fails([command, "--model", bad, *operand], 2, f"error: {command}: {message}")
 
 
 # --------------------------------------------------------- the error contract
@@ -1107,11 +1016,11 @@ def _mutated(data: bytes, rng: random.Random) -> bytes:
 
 
 @pytest.mark.parametrize("target", ["model", "pgm", "manifest", "registry", "config"])
-def test_mutated_inputs_keep_the_error_contract(predict_files, tmp_path, capsys, target):
+def test_mutated_inputs_keep_the_error_contract(trained, tmp_path, capsys, target):
     # every failure is one stderr line, an empty stdout and exit 1-3
-    model, glyph, _ = predict_files
+    model, glyph = trained.model, trained.glyph
     corpus = tmp_path / "corpus"
-    shutil.copytree(glyph.parent, corpus)
+    shutil.copytree(trained.corpus, corpus)
     (corpus / "one.csv").write_text("path,label\nmutant,a\n")
     gray = imaging.load_pgm(glyph.read_bytes())
     p5 = b"P5\n%d %d\n255\n" % (gray.width, gray.height) + gray.pixels.tobytes()
@@ -1159,22 +1068,10 @@ def test_mutated_inputs_keep_the_error_contract(predict_files, tmp_path, capsys,
 
 # ---------------------------------------------------------------- process entry
 
-@pytest.fixture(scope="module")
-def predict_files(tmp_path_factory):
-    """A trained model, one of its glyphs, and a corrupt PGM."""
-    root = tmp_path_factory.mktemp("entry")
-    corpus, model = root / "corpus", root / "model.json"
-    assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
-    assert train(corpus / "manifest.csv", corpus / "registry.csv", model) == 0
-    corrupt = root / "corrupt.pgm"
-    corrupt.write_bytes(b"P2 broken")
-    return model, sorted(corpus.glob("*.pgm"))[0], corrupt
-
-
-def test_main_leaves_the_heap_unfrozen(predict_files, capsys):
+def test_main_leaves_the_heap_unfrozen(trained, capsys):
     """main() leaves the heap unfrozen and the collector on or off, as it
     found them."""
-    model, glyph, _ = predict_files
+    model, glyph = trained.model, trained.glyph
     enabled = gc.isenabled()
     try:
         for state in (gc.enable, gc.disable):
@@ -1251,10 +1148,8 @@ def _without_unbuffered():
     return {**env, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
-def test_module_entry_flushes_buffered_output_to_a_pipe(tmp_path, capsys):
-    manifest = synth_corpus(tmp_path, count=4) / "manifest.csv"
-    argv = ["featurize", "--manifest", str(manifest), "--m", "2"]
-    capsys.readouterr()
+def test_module_entry_flushes_buffered_output_to_a_pipe(trained, capsys):
+    argv = ["featurize", "--manifest", str(trained.manifest), "--m", "2"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     # a larger write bypasses the 8 KiB buffer, so only a flush can lose this
@@ -1268,11 +1163,10 @@ def test_module_entry_flushes_buffered_output_to_a_pipe(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_module_entry_on_a_full_stdout_exits_as_the_interpreter_does(predict_files):
+def test_module_entry_on_a_full_stdout_exits_as_the_interpreter_does(trained):
     """A flush that fails leaves the exit to the interpreter: the code (120)
     and message are those of a process that returns main()'s code."""
-    model, glyph, _ = predict_files
-    argv = ["predict", "--model", str(model), str(glyph)]
+    argv = ["predict", "--model", str(trained.model), str(trained.glyph)]
     by_main = "import sys; from glyphspect.cli import main; sys.exit(main(sys.argv[1:]))"
     results = []
     for entry in (["-m", "glyphspect.cli"], ["-c", by_main]):
@@ -1290,10 +1184,9 @@ def test_module_entry_on_a_full_stdout_exits_as_the_interpreter_does(predict_fil
     "case, code",
     [("predict", 0), ("no-model", 1), ("corrupt-pgm", 2), ("synth-fails", 3)],
 )
-def test_module_entry_prints_and_exits_as_main(
-    predict_files, tmp_path, capsys, case, code
-):
-    model, glyph, corrupt = predict_files
+def test_module_entry_prints_and_exits_as_main(trained, tmp_path, capsys, case, code):
+    model, glyph, corrupt = trained.model, trained.glyph, tmp_path / "corrupt.pgm"
+    corrupt.write_bytes(b"P2 broken")
     # ink only in two opposite corners: the 1x1 resize keeps none, so every
     # retry fails and synth exits 3
     (tmp_path / "corner").mkdir()

@@ -36,6 +36,13 @@ def make_samples(counts):
     return out
 
 
+def refuses(load, path, error, start):
+    """`load(path)` raises exactly `error`, whose message starts with `start`."""
+    with pytest.raises(error) as info:
+        load(path)
+    assert info.type is error and str(info.value).startswith(start), info.value
+
+
 def test_glyph_sample_needs_a_label():
     with pytest.raises(ValueError, match="sample label must be non-empty"):
         GlyphSample(BinaryImage(1, 1, (1,)), "", "x")
@@ -58,24 +65,22 @@ class TestManifest:
     def test_missing_image_names_row(self, tmp_path):
         self.write_pgm_file(tmp_path / "x.pgm")
         (tmp_path / "m.csv").write_text("path,label\nx.pgm,a\nnope.pgm,b\n")
-        with pytest.raises(ManifestError, match="row 3"):
-            load_manifest(tmp_path / "m.csv")
+        refuses(load_manifest, tmp_path / "m.csv", ManifestError, "manifest row 3: 'nope.pgm': ")
 
     def test_malformed_row(self, tmp_path):
         (tmp_path / "m.csv").write_text("path,label\njust-one-field\n")
-        with pytest.raises(ManifestError, match="row 2"):
-            load_manifest(tmp_path / "m.csv")
+        refuses(load_manifest, tmp_path / "m.csv", ManifestError,
+                "manifest row 2: expected 'path,label'")
 
     def test_empty_manifest(self, tmp_path):
         (tmp_path / "m.csv").write_text("path,label\n")
-        with pytest.raises(ManifestError, match="empty"):
-            load_manifest(tmp_path / "m.csv")
+        refuses(load_manifest, tmp_path / "m.csv", ManifestError, "manifest is empty")
 
     def test_missing_header(self, tmp_path):
         self.write_pgm_file(tmp_path / "x.pgm")
         (tmp_path / "m.csv").write_text("x.pgm,a\n")
-        with pytest.raises(ManifestError, match="header"):
-            load_manifest(tmp_path / "m.csv")
+        refuses(load_manifest, tmp_path / "m.csv", ManifestError,
+                "manifest must start with a 'path,label' header")
 
     def test_duplicate_rows_accepted(self, tmp_path):
         self.write_pgm_file(tmp_path / "x.pgm")
@@ -83,14 +88,14 @@ class TestManifest:
         assert len(load_manifest(tmp_path / "m.csv")) == 2
 
     def test_missing_manifest_file(self, tmp_path):
-        with pytest.raises(ManifestError, match="not found"):
-            load_manifest(tmp_path / "none.csv")
+        missing = tmp_path / "none.csv"
+        refuses(load_manifest, missing, ManifestError, f"manifest not found: {str(missing)!r}")
 
     def test_bad_image_reported_with_row(self, tmp_path):
         (tmp_path / "x.pgm").write_bytes(b"P9 broken")
         (tmp_path / "m.csv").write_text("path,label\nx.pgm,a\n")
-        with pytest.raises(ManifestError, match="row 2"):
-            load_manifest(tmp_path / "m.csv")
+        refuses(load_manifest, tmp_path / "m.csv", ManifestError,
+                "manifest row 2: 'x.pgm': malformed magic number b'P9': expected P2 or P5")
 
     def test_read_manifest_checks_rows_and_decodes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataset, "load_pgm", None)  # any decode would fail
@@ -149,13 +154,13 @@ class TestRegistry:
         (tmp_path / "r.csv").write_text(
             "correct_class,error_class\na,b\nb,a\n"
         )
-        with pytest.raises(RegistryError, match="duplicate"):
-            load_registry(tmp_path / "r.csv")
+        refuses(load_registry, tmp_path / "r.csv", RegistryError,
+                "registry: duplicate pair 'b'/'a'")
 
     def test_self_pair_rejected(self, tmp_path):
         (tmp_path / "r.csv").write_text("correct_class,error_class\na,a\n")
-        with pytest.raises(RegistryError, match="differ"):
-            load_registry(tmp_path / "r.csv")
+        refuses(load_registry, tmp_path / "r.csv", RegistryError,
+                "registry: pair 'a'/'a': classes must differ")
 
     def test_write_read_round_trip(self, tmp_path):
         for pairs in ((("a", "b"), ("c", "d")), (("a\rb", "c"), ("d", 'e,"f'))):
@@ -172,15 +177,16 @@ _ERRORS = {load_manifest: ManifestError, load_registry: RegistryError}
 
 @pytest.mark.parametrize("load", [load_manifest, load_registry])
 @pytest.mark.parametrize(
-    "body, match",
-    [(b"a,\xff\n", "utf-8"), (b"a" * 131073 + b",b\n", "field limit")],
+    "body, reason",
+    [(b"a,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+     (b"a" * 131073 + b",b\n", "field larger than field limit (131072)")],
     ids=["not-utf8", "oversized-cell"],
 )
-def test_csv_loaders_name_decode_and_csv_errors(tmp_path, load, body, match):
+def test_csv_loaders_name_decode_and_csv_errors(tmp_path, load, body, reason):
     path = tmp_path / "f.csv"
     path.write_bytes(_HEADERS[load] + body)
-    with pytest.raises(_ERRORS[load], match=match):
-        load(path)
+    what = load.__name__.removeprefix("load_")
+    refuses(load, path, _ERRORS[load], f"{what} {str(path)!r}: {reason}")
 
 
 @pytest.mark.parametrize("load", [load_manifest, load_registry])
@@ -195,8 +201,7 @@ def test_csv_loaders_ignore_a_leading_byte_order_mark(tmp_path, load):
 
 def test_manifest_overlong_image_path_is_manifest_error(tmp_path):
     (tmp_path / "m.csv").write_text("path,label\n" + "a" * 300 + ",b\n")
-    with pytest.raises(ManifestError, match="row 2"):
-        load_manifest(tmp_path / "m.csv")
+    refuses(load_manifest, tmp_path / "m.csv", ManifestError, f"manifest row 2: {'a' * 300!r}: ")
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +217,7 @@ _CSV_TOKENS = st.sampled_from([
 ])
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(
     prefix=st.sampled_from([b""] + list(_HEADERS.values())),
     body=st.one_of(

@@ -319,7 +319,7 @@ def gray_manifests(draw):
     return samples
 
 
-@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@settings(max_examples=20)
 @given(gray_manifests(), st.integers(1, 12), st.data(), st.booleans())
 def test_batch_featurize_equals_per_glyph_bit_for_bit(samples, n, data, normalize):
     m = data.draw(st.integers(1, n))

@@ -172,7 +172,7 @@ def _raster_values(dtype):
     return st.one_of(near, st.integers(int(info.min), int(info.max)))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(
     data=st.sampled_from([np.int8, np.int64, np.uint16, bool]).flatmap(
         lambda dtype: st.lists(_raster_values(dtype), min_size=1, max_size=6).map(
@@ -249,48 +249,44 @@ class TestLoadPgm:
         # a CR ends a comment in the raster as it does in the header
         assert load_pgm(b"P2 2 1 255\n5 # c\r6\n").pixels.tolist() == [[5, 6]]
 
+    def refuses(self, data, message):
+        """load_pgm raises exactly PgmParseError(message) on `data`."""
+        with pytest.raises(PgmParseError) as info:
+            load_pgm(data)
+        assert info.type is PgmParseError and str(info.value) == message
+
     def test_truncated_ascii(self):
-        with pytest.raises(PgmParseError, match="truncated pixel data"):
-            load_pgm(b"P2 2 2 255\n0 1 2\n")
+        self.refuses(b"P2 2 2 255\n0 1 2\n", "truncated pixel data: expected 4 values, found 3")
 
     def test_truncated_binary(self):
-        with pytest.raises(PgmParseError, match="truncated pixel data"):
-            load_pgm(b"P5 2 2 255\n" + bytes([0, 1, 2]))
+        self.refuses(b"P5 2 2 255\n" + bytes([0, 1, 2]),
+                     "truncated pixel data: expected 4 bytes, found 3")
 
     def test_excess_ascii(self):
-        with pytest.raises(PgmParseError, match="excess pixel data"):
-            load_pgm(b"P2 1 1 255\n0 1\n")
+        self.refuses(b"P2 1 1 255\n0 1\n", "excess pixel data: expected 1 values, found 2")
 
     def test_bad_magic(self):
-        with pytest.raises(PgmParseError, match="magic number"):
-            load_pgm(b"P7 1 1 255\n0")
+        self.refuses(b"P7 1 1 255\n0", "malformed magic number b'P7': expected P2 or P5")
 
     def test_maxval_too_large(self):
-        with pytest.raises(PgmParseError, match="maxval"):
-            load_pgm(b"P2 1 1 65535\n0\n")
+        self.refuses(b"P2 1 1 65535\n0\n", "maxval 65535 exceeds 255")
 
     def test_zero_width(self):
-        with pytest.raises(PgmParseError, match="width"):
-            load_pgm(b"P2 0 2 255\n")
+        self.refuses(b"P2 0 2 255\n", "width must be positive, got 0")
         # the first faulty field in header order is the one named
-        with pytest.raises(PgmParseError, match="^width must be positive, got 0$"):
-            load_pgm(b"P2 0 x 255\n")
+        self.refuses(b"P2 0 x 255\n", "width must be positive, got 0")
 
     def test_zero_height(self):
-        with pytest.raises(PgmParseError, match="height"):
-            load_pgm(b"P2 2 0 255\n")
+        self.refuses(b"P2 2 0 255\n", "height must be positive, got 0")
 
     def test_zero_maxval(self):
-        with pytest.raises(PgmParseError, match="^maxval must be positive, got 0$"):
-            load_pgm(b"P2 1 1 0\n0\n")
+        self.refuses(b"P2 1 1 0\n0\n", "maxval must be positive, got 0")
 
     def test_non_numeric_dimension(self):
-        with pytest.raises(PgmParseError, match="width"):
-            load_pgm(b"P2 x 2 255\n0 0\n")
+        self.refuses(b"P2 x 2 255\n0 0\n", "invalid width b'x'")
 
     def test_pixel_above_maxval(self):
-        with pytest.raises(PgmParseError, match="exceeds maxval"):
-            load_pgm(b"P2 1 1 100\n101\n")
+        self.refuses(b"P2 1 1 100\n101\n", "pixel value 101 exceeds maxval 100")
 
     def test_write_read_round_trip(self):
         rng = random.Random(5)
@@ -308,43 +304,31 @@ class TestLoadPgm:
         ],
     )
     def test_rejects_numbers_that_are_not_plain_digits(self, template, field, token):
-        with pytest.raises(PgmParseError, match=field):
-            load_pgm(template.replace(b"{}", token))
+        self.refuses(template.replace(b"{}", token), f"invalid {field} {token!r}")
 
     def test_invalid_sample_is_named(self):
-        with pytest.raises(PgmParseError, match=r"^invalid pixel value b'1_0'$"):
-            load_pgm(b"P2 3 1 255\n7 1_0 # c\n8\n")
+        self.refuses(b"P2 3 1 255\n7 1_0 # c\n8\n", "invalid pixel value b'1_0'")
 
     def test_leading_zeros_and_long_samples(self):
         img = load_pgm(b"P2 01 1 0255\n00000000000000000000007\n")
         assert img.pixels.tolist() == [[7]]
         # past the interpreter's int-conversion digit limit, yet only 7
         assert int(load_pgm(b"P2 1 1 255\n" + b"0" * 5000 + b"7\n").pixels[0, 0]) == 7
-        with pytest.raises(PgmParseError, match="exceeds maxval"):
-            load_pgm(b"P2 1 1 255\n" + b"9" * 20 + b"\n")
-        with pytest.raises(PgmParseError, match="exceeds maxval"):
-            load_pgm(b"P2 1 1 255\n" + b"9" * 5000 + b"\n")
-        with pytest.raises(PgmParseError, match="width"):
-            load_pgm(b"P2 " + b"9" * 5000 + b" 1 255\n0\n")
+        self.refuses(b"P2 1 1 255\n" + b"9" * 20 + b"\n", "pixel value exceeds maxval 255")
+        self.refuses(b"P2 1 1 255\n" + b"9" * 5000 + b"\n", "pixel value exceeds maxval 255")
+        self.refuses(b"P2 " + b"9" * 5000 + b" 1 255\n0\n", "width has too many digits")
 
     @pytest.mark.parametrize(
         "raster", [b"", b" \n\t", b"\r\x0b\x0c", b"# only a comment\n", b"#a\r #b"]
     )
     def test_blank_raster_is_truncated(self, raster):
-        with pytest.raises(
-            PgmParseError, match=r"^truncated pixel data: expected 4 values, found 0$"
-        ):
-            load_pgm(b"P2 2 2 255\n" + raster)
+        self.refuses(b"P2 2 2 255\n" + raster, "truncated pixel data: expected 4 values, found 0")
 
     def test_sample_past_int64_names_no_value(self):
         # int64 saturates past 9223372036854775807; no number may be invented
-        with pytest.raises(PgmParseError, match=r"^pixel value exceeds maxval 255$"):
-            load_pgm(b"P2 2 1 255\n7 " + b"1" * 20 + b"\n")
-        with pytest.raises(
-            PgmParseError,
-            match=r"^pixel value 9223372036854775807 exceeds maxval 255$",
-        ):
-            load_pgm(b"P2 1 1 255\n09223372036854775807\n")
+        self.refuses(b"P2 2 1 255\n7 " + b"1" * 20 + b"\n", "pixel value exceeds maxval 255")
+        self.refuses(b"P2 1 1 255\n09223372036854775807\n",
+                     "pixel value 9223372036854775807 exceeds maxval 255")
 
     def test_p5_and_p2_encodings_decode_alike(self):
         rng = random.Random(17)
@@ -372,7 +356,7 @@ _PGM_TOKENS = st.sampled_from([
 ])
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400)
 @given(
     prefix=st.sampled_from(_PGM_PREFIXES),
     body=st.one_of(
@@ -397,7 +381,7 @@ def write_pgm_oracle(img: GrayImage) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(
     raster=st.one_of(
         st.tuples(st.integers(1, 40), st.integers(1, 40)),
@@ -763,7 +747,7 @@ def p2_files(draw):
     return data, width, tokens
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150)
 @given(p2_files())
 def test_load_pgm_p2_matches_int_parse(case):
     data, width, tokens = case

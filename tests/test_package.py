@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import glyphspect
-from glyphspect import cli, dataset, evaluation, features, imaging, svm
+from glyphspect import dataset, evaluation, features, imaging, svm
 
 MODULES = (imaging, features, svm, dataset, evaluation)
 
@@ -72,26 +72,12 @@ def test_dir_lists_every_root_name():
     assert missing == []
 
 
-@pytest.fixture(scope="module")
-def trained(tmp_path_factory):
-    """A model `train` wrote for a 2-per-class corpus, and the corpus's first glyph."""
-    root = tmp_path_factory.mktemp("trained")
-    corpus, model = root / "corpus", root / "model.json"
-    assert cli.main(["synth", "--out", str(corpus), "--count", "2"]) == 0
-    assert cli.main(
-        ["train", "--manifest", str(corpus / "manifest.csv"),
-         "--registry", str(corpus / "registry.csv"), "--model", str(model)]
-    ) == 0
-    return model, sorted(corpus.glob("*.pgm"))[0]
-
-
 def test_predict_loads_only_the_modules_it_runs(trained):
-    model, glyph = trained
     loaded = fresh_interpreter(
         "import sys; from glyphspect.cli import main; "
         "assert main(['predict', '--model', sys.argv[1], sys.argv[2]]) == 0; "
         + LOADED,
-        str(model), str(glyph),
+        str(trained.model), str(trained.glyph),
     )
     assert loaded == [
         "glyphspect", "glyphspect.cli", "glyphspect.features",
@@ -136,14 +122,13 @@ def test_no_module_imports_dataclasses():
 
 
 def test_a_predict_data_error_does_not_load_dataset(tmp_path, trained):
-    model, _ = trained
     corrupt = tmp_path / "corrupt.pgm"
     corrupt.write_bytes(b"P2 broken")
     loaded = fresh_interpreter(
         "import sys; from glyphspect.cli import main; "
         "assert main(['predict', '--model', sys.argv[1], sys.argv[2]]) == 2; "
         + LOADED,
-        str(model), str(corrupt),
+        str(trained.model), str(corrupt),
     )
     assert "glyphspect.dataset" not in loaded and "csv" not in loaded
 
@@ -154,11 +139,10 @@ def test_predict_does_not_load_numpy_fft(trained):
     numpy_alone = "import sys, numpy; print(['numpy.fft' in sys.modules])"
     if fresh_interpreter(numpy_alone) == [True]:
         pytest.skip("`import numpy` alone loads numpy.fft")
-    model, glyph = trained
     loaded = fresh_interpreter(
         "import sys; from glyphspect.cli import main; "
         "assert main(['predict', '--model', sys.argv[1], sys.argv[2]]) == 0; "
         "print(['numpy.fft' in sys.modules])",
-        str(model), str(glyph),
+        str(trained.model), str(trained.glyph),
     )
     assert loaded == [False]

@@ -573,61 +573,60 @@ class TestSerialization:
         mutate(doc)
         return json.dumps(doc).encode()
 
-    def test_bad_version_rejected(self):
-        data = self._mutate(lambda d: d.update(format_version=99))
-        with pytest.raises(ModelFormatError, match="version"):
+    def refuses(self, change, start):
+        """load_model refuses the saved model after `change`, a function of
+        its JSON document, or refuses the bytes `change`: it raises exactly
+        ModelFormatError, whose message starts with `start`."""
+        data = change if isinstance(change, bytes) else self._mutate(change)
+        with pytest.raises(ModelFormatError) as info:
             load_model(data)
+        assert info.type is ModelFormatError
+        assert str(info.value).startswith(start), info.value
+
+    def test_bad_version_rejected(self):
+        self.refuses(lambda d: d.update(format_version=99),
+                     "unsupported model format version: 99")
 
     def test_alpha_above_c_rejected(self):
         def bump(doc):
             doc["pairs"][0]["support"][0]["alpha"] = doc["c"] * 2
-        with pytest.raises(ModelFormatError, match="box constraint"):
-            load_model(self._mutate(bump))
+        self.refuses(bump, "pair 'a'/'b': multiplier 20.0 exceeds box constraint 10.0")
 
     def test_nan_rejected(self):
         def poison(doc):
             doc["pairs"][0]["bias"] = float("nan")
-        with pytest.raises(ModelFormatError, match="finite"):
-            load_model(self._mutate(poison))
+        self.refuses(poison, "pair 'a'/'b': bias must be finite")
 
     def test_nonpositive_alpha_rejected(self):
         def zero(doc):
             doc["pairs"][0]["support"][0]["alpha"] = 0.0
-        with pytest.raises(ModelFormatError, match="positive"):
-            load_model(self._mutate(zero))
+        self.refuses(zero, "pair 'a'/'b': stored multipliers must be positive")
 
     def test_broken_equality_constraint_rejected(self):
         def unbalance(doc):
             doc["pairs"][0]["support"][0]["alpha"] += 0.25
-        with pytest.raises(ModelFormatError, match="equality"):
-            load_model(self._mutate(unbalance))
+        self.refuses(unbalance, "pair 'a'/'b': dual equality constraint violated (0.25")
 
     def test_dimension_mismatch_rejected(self):
         def chop(doc):
             doc["pairs"][0]["support"][0]["x"] = [1.0, 2.0, 3.0]
-        with pytest.raises(ModelFormatError, match="dimension"):
-            load_model(self._mutate(chop))
+        self.refuses(chop, "pair 'a'/'b': support vector dimension mismatch")
 
     def test_not_json_rejected(self):
-        with pytest.raises(ModelFormatError, match="invalid model file"):
-            load_model(b"\x00\x01garbage")
+        self.refuses(b"\x00\x01garbage", "invalid model file: ")
 
     def test_duplicate_pair_rejected(self):
         def duplicate(doc):
             doc["pairs"][1] = dict(doc["pairs"][0])
-        with pytest.raises(ModelFormatError, match="duplicate pair"):
-            load_model(self._mutate(duplicate))
+        self.refuses(duplicate, "duplicate pair 'a'/'b'")
 
     def test_missing_field_rejected(self):
-        data = self._mutate(lambda d: d.pop("gamma"))
-        with pytest.raises(ModelFormatError, match="gamma"):
-            load_model(data)
+        self.refuses(lambda d: d.pop("gamma"), "model: missing field 'gamma'")
 
     def test_raster_side_above_the_bound_rejected(self):
         assert ModelMeta(n=svm.N_MAX, m=1, seed=0).n == svm.N_MAX
-        data = self._mutate(lambda d: d.update(n=svm.N_MAX + 1))
-        with pytest.raises(ModelFormatError, match=f"n must be at most {svm.N_MAX}, got"):
-            load_model(data)
+        self.refuses(lambda d: d.update(n=svm.N_MAX + 1),
+                     f"n must be at most {svm.N_MAX}, got {svm.N_MAX + 1}")
 
     @pytest.mark.parametrize(
         "value", [True, "0.5", None, [0.5]], ids=["true", "string", "null", "list"]
@@ -635,8 +634,7 @@ class TestSerialization:
     def test_support_component_that_is_not_a_real_rejected(self, value):
         def poison(doc):
             doc["pairs"][0]["support"][0]["x"][-1] = value
-        with pytest.raises(ModelFormatError, match="support component must be a real"):
-            load_model(self._mutate(poison))
+        self.refuses(poison, "pair 'a'/'b': support component must be a real number")
 
     def test_saved_model_is_one_json_line_and_loads_equal(self):
         pm = trained_pairwise()
@@ -648,23 +646,19 @@ class TestSerialization:
         def boolean(doc):
             sv = doc["pairs"][0]["support"][0]
             sv["y"] = sv["y"] > 0
-        with pytest.raises(ModelFormatError, match="'y' must be an integer"):
-            load_model(self._mutate(boolean))
+        self.refuses(boolean, "pair 'a'/'b' support entry: field 'y' must be an integer")
 
     def test_non_string_class_name_rejected(self):
-        data = self._mutate(lambda d: d["classes"].__setitem__(0, 1))
-        with pytest.raises(ModelFormatError, match="classes must be the pairs' classes"):
-            load_model(data)
+        self.refuses(lambda d: d["classes"].__setitem__(0, 1),
+                     "model: classes must be the pairs' classes in order")
 
     def test_permuted_classes_rejected(self):
-        data = self._mutate(lambda d: d["classes"].reverse())
-        with pytest.raises(ModelFormatError, match="classes must be the pairs' classes"):
-            load_model(data)
+        self.refuses(lambda d: d["classes"].reverse(),
+                     "model: classes must be the pairs' classes in order")
 
     def test_meta_dimension_mismatch_rejected(self):
-        data = self._mutate(lambda d: d.update(m=2))
-        with pytest.raises(ModelFormatError, match="dimension"):
-            load_model(data)
+        self.refuses(lambda d: d.update(m=2),
+                     "feature dimension 2 differs from 2m = 4 in the metadata")
 
     @pytest.mark.parametrize(
         "literal", [b"1e400", b"-Infinity", b"1" + b"0" * 400],
@@ -672,15 +666,13 @@ class TestSerialization:
     )
     def test_nonfinite_literal_rejected(self, literal):
         data = self._mutate(lambda d: d["pairs"][0].update(bias="BIAS"))
-        with pytest.raises(ModelFormatError, match="finite"):
-            load_model(data.replace(b'"BIAS"', literal))
+        self.refuses(data.replace(b'"BIAS"', literal), "pair 'a'/'b': bias must be finite")
 
     @pytest.mark.parametrize(
         "data", [b"[" * 100000, b"1" * 5000], ids=["deep-nesting", "5000-digit-integer"]
     )
     def test_unparseable_json_rejected(self, data):
-        with pytest.raises(ModelFormatError, match="invalid model file"):
-            load_model(data)
+        self.refuses(data, "invalid model file: ")
 
 
 _JSON_VALUES = st.recursive(
@@ -711,7 +703,7 @@ def _model_with(path, value) -> bytes:
     return json.dumps(doc).encode()
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(
     data=st.one_of(
         st.binary(max_size=64),
@@ -740,7 +732,7 @@ def test_one_row_decision_equals_batch_on_edge_shapes(support, dim):
     ]
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(
     seed=st.integers(0, 2**32 - 1),
     counts=st.lists(st.integers(1, 45), min_size=2, max_size=4),
@@ -763,7 +755,7 @@ def test_kernel_row_of_every_machine_equals_decision(seed, counts, dim):
         assert [v.hex() for v in svm._decision_values(pm, x)] == [v.hex() for v in values]
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     rows=st.integers(1, 2 * svm._DECISION_BLOCK + 3),

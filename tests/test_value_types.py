@@ -77,7 +77,7 @@ def named_errors(cls) -> tuple[type, ...]:
     return tuple(e for e in (ValueError, TypeError) if e.__name__ in docs)
 
 
-@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@settings(max_examples=600)
 @given(st.sampled_from(list(VALID)), st.data())
 def test_constructors_raise_only_their_named_errors(cls, data):
     args = list(VALID[cls])
@@ -198,7 +198,7 @@ INTEGRAL = st.integers(-(10**20), 10**20) | st.sampled_from(
 )
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(
     INTEGRAL,
     st.integers(1, 4) | st.sampled_from([1.0, 1.5, True, np.int32(2)]),
